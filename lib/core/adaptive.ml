@@ -86,6 +86,7 @@ let run ?(config = default_config) (ev : Evaluator.t) =
   let n = ev.Evaluator.order_bound in
   if n < 0 then invalid_arg "Adaptive.run: negative order bound";
   let gdeg = ev.Evaluator.gdeg in
+  ev.Evaluator.restart ();
   let coeffs = Array.make (n + 1) Ef.zero in
   let established = Array.make (n + 1) false in
   let resolved = Array.make (n + 1) false in

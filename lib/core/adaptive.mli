@@ -103,7 +103,10 @@ type result = {
 }
 
 val run : ?config:config -> Evaluator.t -> result
-(** @raise Invalid_argument when the evaluator's order bound is negative. *)
+(** Restarts the evaluator ([ev.restart]) and runs the adaptive scaling
+    algorithm on it, so the result does not depend on what ran on the
+    evaluator before.
+    @raise Invalid_argument when the evaluator's order bound is negative. *)
 
 val coefficient_ratios : result -> float array
 (** [|p_(i+1) / p_i|] in decades ([log10]) for established consecutive

@@ -8,6 +8,7 @@ module Inject = Symref_fault.Inject
 type t = {
   eval : f:float -> g:float -> Complex.t -> Ec.t;
   prefetch : (f:float -> g:float -> Complex.t array -> unit) option;
+  restart : unit -> unit;
   gdeg : int;
   order_bound : int;
   f0 : float;
@@ -41,6 +42,7 @@ let of_nodal problem ~num =
   {
     eval;
     prefetch = None;
+    restart = (fun () -> Nodal.restart problem);
     gdeg = (if num then Nodal.num_gdeg problem else Nodal.den_gdeg problem);
     order_bound = Nodal.order_bound problem;
     f0 = 1. /. Nodal.mean_capacitance problem;
@@ -154,6 +156,7 @@ let of_nodal_shared ?(batch = batch_default) problem =
     {
       eval;
       prefetch;
+      restart = (fun () -> Nodal.restart problem);
       gdeg = (if num then Nodal.num_gdeg problem else Nodal.den_gdeg problem);
       order_bound = Nodal.order_bound problem;
       f0 = 1. /. Nodal.mean_capacitance problem;
@@ -191,6 +194,7 @@ let of_epoly ?(name = "poly") ~gdeg ~f0 ~g0 p =
   {
     eval;
     prefetch = None;
+    restart = ignore;
     gdeg;
     order_bound = Epoly.degree p;
     f0;

@@ -21,6 +21,14 @@ type t = {
           disabled) simply means per-point evaluation.  Callers must pass
           the exact point values they will evaluate — the memo key is the
           (f, g, re, im) quadruple. *)
+  restart : unit -> unit;
+      (** Return the evaluator to its starting state before a run:
+          {!Adaptive.run} and {!Verify.check} call it first.  The nodal
+          constructors restart the problem's pattern chain
+          ({!Symref_mna.Nodal.restart}), so the factorisation pattern a
+          scale pair gets — and with it the last bits of every value —
+          depends only on the run's own sequence of scale pairs.  A no-op
+          for synthetic evaluators. *)
   gdeg : int;
       (** Conductance-homogeneity degree: the [s^i] coefficient carries
           [g^(gdeg - i)] under conductance scaling (eq. 11). *)

@@ -76,6 +76,9 @@ let generate ?(config = Adaptive.default_config) ?(share = true) ?(reuse = true)
   in
   let num = Tr.span ~cat:"reference" "reference.num" (fun () -> Adaptive.run ~config ev_num) in
   let den = Tr.span ~cat:"reference" "reference.den" (fun () -> Adaptive.run ~config ev_den) in
+  (* The kept problem serves later probes ([health]) but no more passes of
+     this size: drop the grown workspace planes with the run. *)
+  Nodal.release_pools problem;
   { num; den; input; output; config; problem }
 
 let numerator t = Epoly.of_coeffs t.num.Adaptive.coeffs

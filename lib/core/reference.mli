@@ -32,7 +32,8 @@ val generate :
     [share] (default [true]) lets the two runs draw from one memoised
     evaluation per point — one factorisation yields both values (eq. 8-10);
     [reuse] (default [true]) enables the symbolic/numeric factorisation
-    split per scale pair (see {!Symref_mna.Nodal.make}); [kernel] (default
+    split, one learned pivot order per circuit carried across scale pairs
+    (see {!Symref_mna.Nodal.make}); [kernel] (default
     [true] unless [SYMREF_NO_KERNEL] is set) runs replays through the
     fused unboxed refactor+solve engine on per-domain workspaces
     ({!Symref_linalg.Kernel}); [batch] (default [true] unless

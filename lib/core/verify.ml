@@ -19,6 +19,7 @@ let probe_points =
 
 let check ?(tolerance = 1e-4) (ev : Evaluator.t) (result : Adaptive.result) =
   let gdeg = result.Adaptive.gdeg in
+  ev.Evaluator.restart ();
   let scales =
     List.filter_map
       (fun p -> if p.Adaptive.fresh > 0 then Some p.Adaptive.scale else None)

@@ -22,4 +22,6 @@ val check :
 (** [check ev result] probes each productive band of [result] at off-circle
     points with that band's scale factors.  [tolerance] defaults to [1e-4]
     (the residual bound for sigma = 6 coefficients with band-edge error).
-    The evaluator must be the same network the result came from. *)
+    The evaluator must be the same network the result came from.  The
+    evaluator is restarted first ([ev.restart]), so the probes do not
+    depend on what ran on it before. *)

@@ -252,8 +252,9 @@ let fill_in f = f.fill_in
    arrays.  [refactor] replays the program on fresh numeric values with no
    hashtable traffic at all: the inner loop is pure unboxed float-array
    arithmetic.  The classic SPICE/KLU trick — the sparsity structure of
-   [G + sC] is the same at every interpolation point, so the ordering work
-   is paid once per scale pair instead of once per point. *)
+   [G + sC] is the same at every interpolation point and every scale pair,
+   so the ordering work is paid once per circuit instead of once per
+   point, and {!floor_holds} tells when a pattern must be re-learned. *)
 
 module Kernel = Kernel
 
@@ -487,19 +488,12 @@ let symbolic ?(pivot_threshold = 0.1) (b : builder) =
     Some (pat, fct)
   end
 
-(* Numeric refactorisation: replay the recorded elimination program on new
-   values.  Returns [None] — caller falls back to a full Markowitz
-   factorisation — whenever a reused pivot is exactly zero or falls below the
-   threshold-pivoting floor relative to its remaining row, so accuracy never
-   regresses versus from-scratch pivoting. *)
-let refactor (p : pattern) (values : Complex.t array) =
-  let q = p.prog in
+let check_values ~who (q : Kernel.program) values =
   if Array.length values <> Array.length q.Kernel.coo_slot then
-    invalid_arg "Sparse.refactor: values length does not match pattern";
-  Tr.span ~cat:"lu" "lu.refactor" @@ fun () ->
-  if Inject.fire Inject.sparse_singular then None
-    (* as if a reused pivot hit the threshold floor: caller falls back *)
-  else
+    invalid_arg (who ^ ": values length does not match pattern")
+
+(* Scatter [values] (in {!pattern_coords} order) into fresh slot planes. *)
+let scatter (q : Kernel.program) (values : Complex.t array) =
   let re = Array.make q.Kernel.nslots 0. and im = Array.make q.Kernel.nslots 0. in
   Array.iteri
     (fun e (v : Complex.t) ->
@@ -507,8 +501,15 @@ let refactor (p : pattern) (values : Complex.t array) =
       re.(s) <- v.Complex.re;
       im.(s) <- v.Complex.im)
     values;
+  (re, im)
+
+(* Replay the recorded elimination program on the slot planes in place,
+   recording each multiplier into [lower] when given.  [false] as soon as a
+   reused pivot is exactly zero, non-finite or below the threshold floor
+   relative to its remaining row.  No hooks, no counters, no spans: the
+   callers own those. *)
+let eliminate (q : Kernel.program) re im lower =
   let n = q.Kernel.n in
-  let lower = Array.make q.Kernel.lower_len (0, 0, Complex.zero) in
   let lpos = ref 0 in
   let ok = ref true in
   let k = ref 0 in
@@ -542,8 +543,11 @@ let refactor (p : pattern) (values : Complex.t array) =
         (* m = a / pivot, unboxed. *)
         let mr = ((ar *. pr) +. (ai *. pim)) /. den
         and mi = ((ai *. pr) -. (ar *. pim)) /. den in
-        lower.(!lpos) <- (targets.(t), step, { Complex.re = mr; im = mi });
-        incr lpos;
+        (match lower with
+        | Some lower ->
+            lower.(!lpos) <- (targets.(t), step, { Complex.re = mr; im = mi });
+            incr lpos
+        | None -> ());
         let upd = upds.(t) in
         for idx = 0 to Array.length us - 1 do
           let s = us.(idx) in
@@ -556,7 +560,32 @@ let refactor (p : pattern) (values : Complex.t array) =
       incr k
     end
   done;
-  if not !ok then begin
+  !ok
+
+(* The threshold floor alone: whether {!refactor} would accept [values],
+   without firing the fault hook or touching a counter. *)
+let floor_holds (p : pattern) (values : Complex.t array) =
+  check_values ~who:"Sparse.floor_holds" p.prog values;
+  let re, im = scatter p.prog values in
+  eliminate p.prog re im None
+
+(* Numeric refactorisation: replay the recorded elimination program on new
+   values.  Returns [None] — caller falls back to a full Markowitz
+   factorisation — whenever a reused pivot is exactly zero or falls below the
+   threshold-pivoting floor relative to its remaining row, so accuracy never
+   regresses versus from-scratch pivoting. *)
+let refactor (p : pattern) (values : Complex.t array) =
+  let q = p.prog in
+  check_values ~who:"Sparse.refactor" q values;
+  Tr.span ~cat:"lu" "lu.refactor" @@ fun () ->
+  if Inject.fire Inject.sparse_singular then None
+    (* as if a reused pivot hit the threshold floor: caller falls back *)
+  else
+  let re, im = scatter q values in
+  let n = q.Kernel.n in
+  let lower = Array.make q.Kernel.lower_len (0, 0, Complex.zero) in
+  let ok = eliminate q re im (Some lower) in
+  if not ok then begin
     (* The caller will redo a full Markowitz search from scratch. *)
     Obs.incr Obs.refactor_fallbacks;
     None

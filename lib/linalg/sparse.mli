@@ -88,6 +88,15 @@ val refactor : pattern -> Complex.t array -> factor option
     accuracy never regresses versus from-scratch pivoting.
     @raise Invalid_argument when [values] does not match the pattern. *)
 
+val floor_holds : pattern -> Complex.t array -> bool
+(** [floor_holds p values] is the threshold-floor test of {!refactor} on
+    its own: [true] exactly when [refactor p values] would accept every
+    reused pivot.  Free of side effects — it fires no fault hook, touches
+    no counter and opens no trace span — so a caller can ask whether a
+    pattern still fits new values without disturbing an armed fault plan
+    or the [lu.*] accounting.
+    @raise Invalid_argument when [values] does not match the pattern. *)
+
 val pattern_coords : pattern -> (int * int) array
 (** [(row, col)] of each structural entry, in the order {!refactor} expects
     its [values] argument. *)

@@ -35,33 +35,47 @@ type stamp = {
   rhs_k : float array;  (* constant current injections *)
 }
 
-(* Reusable symbolic factorisation, keyed by the scale pair: all unit-circle
-   points of one interpolation pass share the sparsity structure of
-   [g G + f s C], so the Markowitz ordering is learned once per (f, g) — at
-   the canonical point [s = i], which is independent of evaluation order so
-   parallel interpolation stays bit-identical to sequential — and only the
-   numeric elimination is redone per point.  [None] payload: the pattern
-   could not be learned (singular at the canonical point); evaluate from
-   scratch.  The mutex makes concurrent [eval] calls from several domains
-   safe. *)
-(* The kernel half of a learned pattern: the coordinate-to-slot scatter map
-   ([-1] for entries identically zero over the pass) and the per-domain
-   workspace pool of the fused engine.  [None] when the kernel is disabled
-   for this problem. *)
+(* A learned factorisation pattern: pivot order and elimination program
+   ([pl_pat]) and the stamp-coordinate map onto the pattern's values order
+   ([pl_pos], [-1] for a coordinate the pattern does not hold). *)
+type learned = { pl_pat : Sparse.pattern; pl_pos : int array }
+
+(* The kernel half of a pattern: the coordinate-to-slot scatter map ([-1]
+   for coordinates the pattern does not hold) and the per-domain workspace
+   pools of the fused engine. *)
 type kernel_payload = {
   k_slot : int array;
   k_pool : Kernel.Pool.t;
   k_batch : Kernel.Batch.Pool.t;
 }
 
-type payload = {
-  pl_pat : Sparse.pattern;
-  pl_pos : int array;  (* stamp coordinate -> pattern values index, -1 none *)
-  pl_kernel : kernel_payload option;
-}
+(* The pattern chain.  The sparsity of [g G + s f C] does not depend on the
+   scale pair, so one learned pivot order serves every pass whose values
+   it still factorises stably.  The chain starts at its root — the pattern
+   learned at the anchor scale [(1 / mean C, 1 / mean G)], the first
+   interpolation's scale (paper §3.2) — and at each new scale pair keeps
+   its current pattern when the pivots pass the threshold floor at the
+   canonical point [s = i] ({!Sparse.floor_holds}); only a rejected pivot
+   re-learns by symbolic analysis at the new pair.  The chain is thus a
+   function of the sequence of scale pairs since its last {!restart}, which
+   the engines call at the start of every run, so a run's bits never depend
+   on what ran before on the same problem.  Points a carried pattern
+   factorises badly still eject per point to a full factorisation.
 
-type cache = {
-  mutable pat : (float * float * payload option) option;
+   [cur] is [None] at the root; a link's [learned] is [None] when the
+   canonical point was singular (evaluate from scratch).  [root] memoises
+   the anchor pattern once learned ([Some None]: singular at the anchor);
+   [anchor] is [None] for a circuit without capacitors or conductances.
+   [kernel] holds at most one kernel payload — its pools grow with use —
+   that of the pattern it is paired with (physical equality).  The mutex
+   makes concurrent [eval] calls from several domains safe. *)
+type link = { at_f : float; at_g : float; learned : learned option }
+
+type chain = {
+  anchor : (float * float) option;
+  mutable root : learned option option;
+  mutable cur : link option;
+  mutable kernel : (learned * kernel_payload) option;
   lock : Mutex.t;
 }
 
@@ -78,7 +92,7 @@ type t = {
   stamp : stamp;
   reuse : bool;
   use_kernel : bool;
-  cache : cache;
+  chain : chain;
 }
 
 type value = {
@@ -274,7 +288,17 @@ let make ?(reuse = true) ?(kernel = kernel_default) circuit ~input ~output =
     stamp = build_stamp circuit roles dim injections;
     reuse;
     use_kernel = kernel;
-    cache = { pat = None; lock = Mutex.create () };
+    chain =
+      {
+        anchor =
+          (match (Netlist.mean_capacitance circuit, Netlist.mean_conductance circuit) with
+          | c, g -> Some (1. /. c, 1. /. g)
+          | exception Invalid_argument _ -> None);
+        root = None;
+        cur = None;
+        kernel = None;
+        lock = Mutex.create ();
+      };
   }
 
 type plan = {
@@ -304,18 +328,18 @@ let num_gdeg t = t.num_gdeg
 let mean_conductance t = Netlist.mean_conductance t.circuit
 let mean_capacitance t = Netlist.mean_capacitance t.circuit
 
-(* Learn the factorisation pattern for a scale pair at the canonical point
-   [s = i].  With [s = i] an entry's value is [{re = g_coef*g; im = c_coef*f}]:
-   it vanishes exactly when the entry vanishes at {e every} unit-circle point,
-   so the learned structure covers all points of the pass. *)
+(* Value of stamp coordinate [e] at the canonical point [s = i]:
+   [{re = g_coef*g; im = c_coef*f}].  It vanishes exactly when the entry
+   vanishes at {e every} unit-circle point of the pass, so a pattern learned
+   or checked here covers all points of the pass. *)
+let canonical st e ~f ~g = { Complex.re = st.m_g.(e) *. g; im = st.m_c.(e) *. f }
+
+(* Learn the factorisation pattern for a scale pair at the canonical point. *)
 let learn_pattern t ~f ~g =
+  Obs.incr Obs.pattern_misses;
   let st = t.stamp in
   let b = Sparse.create t.dim in
-  Array.iteri
-    (fun e r ->
-      Sparse.add b r st.m_cols.(e)
-        { Complex.re = st.m_g.(e) *. g; im = st.m_c.(e) *. f })
-    st.m_rows;
+  Array.iteri (fun e r -> Sparse.add b r st.m_cols.(e) (canonical st e ~f ~g)) st.m_rows;
   match Sparse.symbolic b with
   | None -> None
   | Some (pat, _) ->
@@ -328,42 +352,103 @@ let learn_pattern t ~f ~g =
             | Some p -> p
             | None -> -1 (* identically zero at every point of this pass *))
       in
-      let pl_kernel =
-        if not t.use_kernel then None
-        else begin
-          let prog = Sparse.pattern_program pat in
-          (* Precompose coordinate -> values index -> slot so the hot-path
-             scatter is one indirection. *)
-          let k_slot =
-            Array.map
-              (fun p -> if p < 0 then -1 else prog.Kernel.coo_slot.(p))
-              pos
-          in
-          Some
-            {
-              k_slot;
-              k_pool = Kernel.Pool.create prog;
-              k_batch = Kernel.Batch.Pool.create prog;
-            }
-        end
-      in
-      Some { pl_pat = pat; pl_pos = pos; pl_kernel }
+      Some { pl_pat = pat; pl_pos = pos }
 
+(* Whether a pattern learned at another scale pair still serves [(f, g)]:
+   every coordinate that is non-zero there has a slot, and every reused
+   pivot passes the threshold floor at the canonical point. *)
+let carries t l ~f ~g =
+  let st = t.stamp in
+  let vals = Array.make (Sparse.pattern_nnz l.pl_pat) Complex.zero in
+  let covered = ref true in
+  Array.iteri
+    (fun e p ->
+      let v = canonical st e ~f ~g in
+      if p >= 0 then vals.(p) <- v
+      else if v.Complex.re <> 0. || v.Complex.im <> 0. then covered := false)
+    l.pl_pos;
+  !covered && Sparse.floor_holds l.pl_pat vals
+
+(* Move the chain to [(f, g)] from the pattern [prior] (the caller holds
+   the lock): carry it when it still fits, re-learn otherwise. *)
+let advance t c prior ~f ~g =
+  let learned =
+    match prior with
+    | Some l when carries t l ~f ~g ->
+        Obs.incr Obs.pattern_hits;
+        prior
+    | _ -> learn_pattern t ~f ~g
+  in
+  c.cur <- Some { at_f = f; at_g = g; learned };
+  learned
+
+(* The kernel payload of pattern [l], made on first use and dropping the
+   previous pattern's (the caller holds the lock). *)
+let kernel_for c l =
+  match c.kernel with
+  | Some (owner, kp) when owner == l -> kp
+  | _ ->
+      let prog = Sparse.pattern_program l.pl_pat in
+      (* Precompose coordinate -> values index -> slot so the hot-path
+         scatter is one indirection. *)
+      let coo_slot = prog.Kernel.coo_slot in
+      let kp =
+        {
+          k_slot = Array.map (fun p -> if p < 0 then -1 else coo_slot.(p)) l.pl_pos;
+          k_pool = Kernel.Pool.create prog;
+          k_batch = Kernel.Batch.Pool.create prog;
+        }
+      in
+      c.kernel <- Some (l, kp);
+      kp
+
+(* The chain's pattern at [(f, g)], with its kernel payload when the
+   kernel is on. *)
 let pattern_for t ~f ~g =
-  let c = t.cache in
+  let c = t.chain in
   Mutex.lock c.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock c.lock)
     (fun () ->
-      match c.pat with
-      | Some (pf, pg, payload) when pf = f && pg = g ->
-          Obs.incr Obs.pattern_hits;
-          payload
-      | _ ->
-          Obs.incr Obs.pattern_misses;
-          let payload = learn_pattern t ~f ~g in
-          c.pat <- Some (f, g, payload);
-          payload)
+      let learned =
+        match (c.cur, c.anchor) with
+        | Some l, _ when l.at_f = f && l.at_g = g ->
+            Obs.incr Obs.pattern_hits;
+            l.learned
+        | Some l, _ -> advance t c l.learned ~f ~g
+        | None, None -> advance t c None ~f ~g
+        | None, Some (af, ag) ->
+            let root =
+              match c.root with
+              | Some r ->
+                  if af = f && ag = g then Obs.incr Obs.pattern_hits;
+                  r
+              | None ->
+                  let r = learn_pattern t ~f:af ~g:ag in
+                  c.root <- Some r;
+                  r
+            in
+            if af = f && ag = g then begin
+              c.cur <- Some { at_f = f; at_g = g; learned = root };
+              root
+            end
+            else advance t c root ~f ~g
+      in
+      Option.map
+        (fun l -> (l, if t.use_kernel then Some (kernel_for c l) else None))
+        learned)
+
+let restart t =
+  let c = t.chain in
+  Mutex.lock c.lock;
+  c.cur <- None;
+  Mutex.unlock c.lock
+
+let release_pools t =
+  let c = t.chain in
+  Mutex.lock c.lock;
+  c.kernel <- None;
+  Mutex.unlock c.lock
 
 (* The boxed per-point machinery, shared between [eval] and [eval_batch]'s
    per-point fallbacks (ejected points, pole points).  Toplevel rather than
@@ -508,7 +593,7 @@ let eval ?(f = 1.) ?(g = 1.) t s =
   else
     match pattern_for t ~f ~g with
     | None -> from_scratch ()
-    | Some pl -> (
+    | Some (pl, kernel) -> (
         let boxed () =
           let pat = pl.pl_pat and pos = pl.pl_pos in
           let vals = Array.make (Sparse.pattern_nnz pat) Complex.zero in
@@ -522,7 +607,7 @@ let eval ?(f = 1.) ?(g = 1.) t s =
           | None -> from_scratch ()
           | Some factor -> finish factor
         in
-        match pl.pl_kernel with
+        match kernel with
         | None -> boxed ()
         | Some kp -> (
             match eval_kernel kp with
@@ -649,20 +734,17 @@ let eval_batch ?(f = 1.) ?(g = 1.) t points =
     if not (kernel_enabled t) then per_point ()
     else
       match pattern_for t ~f ~g with
-      | None -> per_point ()
-      | Some pl -> (
-          match pl.pl_kernel with
+      | None | Some (_, None) -> per_point ()
+      | Some (_, Some kp) -> (
+          (* A failed checkout (pool cap, busy batch on a re-entrant
+             systhread) sends the whole pass down the bit-identical
+             per-point path. *)
+          match Kernel.Batch.Pool.checkout kp.k_batch with
           | None -> per_point ()
-          | Some kp -> (
-              (* A failed checkout (pool cap, busy batch on a re-entrant
-                 systhread) sends the whole pass down the bit-identical
-                 per-point path. *)
-              match Kernel.Batch.Pool.checkout kp.k_batch with
-              | None -> per_point ()
-              | Some b ->
-                  Fun.protect
-                    ~finally:(fun () -> Kernel.Batch.Pool.release b)
-                    (fun () -> run_batch t ~f ~g kp b points)))
+          | Some b ->
+              Fun.protect
+                ~finally:(fun () -> Kernel.Batch.Pool.release b)
+                (fun () -> run_batch t ~f ~g kp b points))
   end
 
 let elimination_program ?(f = 1.) ?(g = 1.) t =
@@ -670,4 +752,4 @@ let elimination_program ?(f = 1.) ?(g = 1.) t =
   else
     match pattern_for t ~f ~g with
     | None -> None
-    | Some pl -> Some (Sparse.pattern_program pl.pl_pat)
+    | Some (pl, _) -> Some (Sparse.pattern_program pl.pl_pat)

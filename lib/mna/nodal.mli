@@ -53,9 +53,13 @@ val make :
   t
 (** [reuse] (default [true]) enables the symbolic/numeric factorisation
     split: the Markowitz ordering of the reduced matrix is learned once per
-    scale pair (at the canonical point [s = i]) and every evaluation replays
-    only the numeric elimination, falling back to a full from-scratch
-    factorisation whenever a reused pivot hits the threshold-pivoting floor.
+    circuit and every evaluation replays only the numeric elimination,
+    falling back to a full from-scratch factorisation whenever a reused
+    pivot hits the threshold-pivoting floor.  The ordering is learned at
+    the anchor scale [(1 / mean C, 1 / mean G)] and carried from scale pair
+    to scale pair while its pivots pass the threshold floor at the
+    canonical point [s = i]; only a rejected pivot re-learns it at the new
+    pair (see {!restart}).
     [~reuse:false] restores the factor-from-scratch-per-point behaviour
     (benchmark baseline).  [kernel] (default [true] unless the
     [SYMREF_NO_KERNEL] environment variable is set) additionally runs the
@@ -116,10 +120,26 @@ val eval_batch : ?f:float -> ?g:float -> t -> Complex.t array -> value array
 
 val elimination_program :
   ?f:float -> ?g:float -> t -> Symref_linalg.Kernel.program option
-(** The recorded elimination program for a scale pair — [None] when [reuse]
-    is off or the canonical point is singular.  Exposed for the benchmark's
-    program-shape statistics (steps, slots, fill, update counts); learning
-    or reusing the pattern counts under the pattern.* counters as usual. *)
+(** The elimination program the pattern chain uses at a scale pair —
+    [None] when [reuse] is off or the canonical point is singular.  Moves
+    the chain to the pair exactly as an evaluation there would.  Exposed
+    for the benchmark's program-shape statistics (steps, slots, fill,
+    update counts); learning or carrying the pattern counts under the
+    pattern.* counters as usual. *)
+
+val restart : t -> unit
+(** Return the pattern chain to its root, the ordering learned at the
+    anchor scale.  Between restarts the pattern used at a scale pair
+    depends on the scale pairs evaluated before it, so the engines restart
+    at the start of every run ({!Symref_core.Evaluator.t}[.restart]): a
+    run's bits then never depend on what ran before on the same problem.
+    Cheap: the root pattern is learned once and kept. *)
+
+val release_pools : t -> unit
+(** Drop the fused engine's workspace pools, whose batch planes grow with
+    the largest pass.  The learned patterns stay; the next evaluation
+    makes fresh pools.  {!Symref_core.Reference.generate} calls this when
+    it returns, so a kept reference does not hold the planes. *)
 
 val mean_conductance : t -> float
 val mean_capacitance : t -> float

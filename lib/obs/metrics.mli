@@ -112,11 +112,11 @@ val memo_misses : counter
 (** Shared num/den evaluator: evaluations that performed a factorisation. *)
 
 val pattern_hits : counter
-(** Per-scale factorisation-pattern cache hits
-    ({!Symref_mna.Nodal}). *)
+(** Factorisation-pattern reuses ({!Symref_mna.Nodal}): the same scale pair
+    again, or the current pattern carried to a new scale pair. *)
 
 val pattern_misses : counter
-(** Pattern-cache misses: a symbolic analysis was (re)learned. *)
+(** Patterns (re)learned by a symbolic analysis. *)
 
 val adaptive_passes : counter
 (** Interpolation passes executed by {!Symref_core.Adaptive.run}. *)

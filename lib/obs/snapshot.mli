@@ -19,8 +19,8 @@ type t = {
   evaluator_calls : int;  (** evaluator [eval] calls *)
   memo_hits : int;  (** shared num/den table hits *)
   memo_misses : int;  (** shared num/den table misses (factorised) *)
-  pattern_hits : int;  (** per-scale pattern-cache hits *)
-  pattern_misses : int;  (** pattern-cache misses (symbolic analysis ran) *)
+  pattern_hits : int;  (** pattern reuses, same or carried scale pair *)
+  pattern_misses : int;  (** patterns learned (symbolic analysis ran) *)
   adaptive_passes : int;
   dry_passes : int;  (** passes that established nothing *)
   deflated_passes : int;  (** passes using eq.-17 deflation *)

@@ -612,6 +612,114 @@ let test_share_reuse_invariance () =
       ("den", Reference.denominator seed, Reference.denominator shared);
     ]
 
+(* --- the pattern chain --- *)
+
+let ua741_problem () =
+  let module Ua741 = Symref_circuit.Ua741 in
+  Nodal.make Ua741.circuit
+    ~input:(Nodal.V_diff (Ua741.input_p, Ua741.input_n))
+    ~output:(Nodal.Out_node Ua741.output)
+
+let test_chain_ua741_learns () =
+  (* One learned pattern per circuit, re-learned only where the threshold
+     floor rejects it: the µA741 reference used to learn once per scale
+     pair (9 times). *)
+  let module Ua741 = Symref_circuit.Ua741 in
+  let module Metrics = Symref_obs.Metrics in
+  Test_mna.with_metrics @@ fun () ->
+  let r =
+    Reference.generate Ua741.circuit
+      ~input:(Nodal.V_diff (Ua741.input_p, Ua741.input_n))
+      ~output:(Nodal.Out_node Ua741.output)
+  in
+  let misses = Metrics.value Metrics.pattern_misses in
+  Alcotest.(check bool) (Printf.sprintf "at most 3 learns (%d)" misses) true (misses <= 3);
+  Alcotest.(check int) "one symbolic analysis per learn" misses
+    (Metrics.value Metrics.lu_symbolic);
+  Alcotest.(check bool) "more scale pairs than learns" true
+    (r.Reference.num.Adaptive.passes + r.Reference.den.Adaptive.passes > misses)
+
+let test_chain_history_free () =
+  (* A run restarts the chain at its anchor, so evaluations made before it
+     on the same problem — here at far-tilted scale pairs, which re-learn
+     the pattern — cannot change a bit of its coefficients. *)
+  let run problem =
+    let s = Evaluator.of_nodal_shared problem in
+    (Adaptive.run s.Evaluator.snum, Adaptive.run s.Evaluator.sden)
+  in
+  let fresh_num, fresh_den = run (ua741_problem ()) in
+  let used = ua741_problem () in
+  let f0 = 1. /. Nodal.mean_capacitance used and g0 = 1. /. Nodal.mean_conductance used in
+  List.iter
+    (fun (f, g) ->
+      ignore (Nodal.eval_batch ~f ~g used [| Cx.j; Cx.make 0.6 0.8 |]);
+      ignore (Nodal.eval ~f ~g used (Cx.make (-0.8) 0.6)))
+    [ (f0 *. 1e5, g0 *. 1e-5); (f0 *. 1e-4, g0 *. 1e4); (f0 *. 3., g0) ];
+  let num, den = run used in
+  Alcotest.(check bool) "num bit-identical to a fresh problem" true
+    (num.Adaptive.coeffs = fresh_num.Adaptive.coeffs);
+  Alcotest.(check bool) "den bit-identical to a fresh problem" true
+    (den.Adaptive.coeffs = fresh_den.Adaptive.coeffs);
+  (* And a repeated run on the same problem is its own replay. *)
+  let num', den' = run used in
+  Alcotest.(check bool) "rerun bit-identical" true
+    (num'.Adaptive.coeffs = num.Adaptive.coeffs && den'.Adaptive.coeffs = den.Adaptive.coeffs)
+
+(* The one-digit-slack agreement rule of the benchmark's oracle check:
+   every coefficient within [10^(1 - sigma)] relative, zero only against
+   zero. *)
+let agree_to_sigma (a : Reference.t) (b : Reference.t) =
+  let rel = 10. ** float_of_int (1 - Adaptive.default_config.Adaptive.sigma) in
+  let same x y =
+    Array.length x = Array.length y && Array.for_all2 (Ef.approx_equal ~rel) x y
+  in
+  same a.Reference.num.Adaptive.coeffs b.Reference.num.Adaptive.coeffs
+  && same a.Reference.den.Adaptive.coeffs b.Reference.den.Adaptive.coeffs
+
+let test_chain_oracle_sweep () =
+  (* Every shipped netlist and the benchmark circuits: the carried-pattern
+     path agrees with the full-factor oracle ([reuse:false], unshared) to
+     the sigma digits the algorithm certifies. *)
+  let module Parser = Symref_spice.Parser in
+  let module N = Symref_circuit.Netlist in
+  let module Ua741 = Symref_circuit.Ua741 in
+  let load name = Parser.parse_file (Filename.concat "../examples/netlists" name) in
+  let differential c =
+    (N.remove_element (N.remove_element c "v_vinp") "v_vinn", Nodal.V_diff ("inp", "inn"))
+  in
+  let v1 = Nodal.Vsrc_element "v1" in
+  let cases =
+    [
+      ("crossover.cir", Symref_circuit.Transform.inductors_to_gyrators (load "crossover.cir"), v1, "w1");
+      ("rc_filter.cir", load "rc_filter.cir", v1, "out");
+      ("sallen_key.cir", load "sallen_key.cir", v1, "out");
+      ("two_stage_bjt.cir", load "two_stage_bjt.cir", v1, "c2");
+      (let c, i = differential (load "ua741.cir") in ("ua741.cir", c, i, "out"));
+      (let c, i = differential (load "ua741_macro.cir") in ("ua741_macro.cir", c, i, "out"));
+      ("ota", Ota.circuit, Nodal.V_diff (Ota.input_p, Ota.input_n), Ota.output);
+      ("ua741", Ua741.circuit, Nodal.V_diff (Ua741.input_p, Ua741.input_n), Ua741.output);
+    ]
+    @ List.map
+        (fun n ->
+          (Printf.sprintf "rc-ladder-%d" n, Ladder.circuit n, Nodal.Vsrc_element "vin", Ladder.output_node))
+        [ 8; 32; 64 ]
+  in
+  let names = Array.to_list (Sys.readdir "../examples/netlists") in
+  List.iter
+    (fun f ->
+      if Filename.check_suffix f ".cir" then
+        Alcotest.(check bool) (f ^ " is in the sweep") true
+          (List.exists (fun (n, _, _, _) -> n = f) cases))
+    names;
+  List.iter
+    (fun (name, circuit, input, out) ->
+      let output = Nodal.Out_node out in
+      let chain = Reference.generate circuit ~input ~output in
+      let oracle = Reference.generate ~reuse:false ~share:false circuit ~input ~output in
+      Alcotest.(check bool) (name ^ " agrees with the full-factor oracle") true
+        (agree_to_sigma chain oracle))
+    cases
+
 let suite =
   [
     ( "band",
@@ -674,5 +782,9 @@ let suite =
           test_domains_bit_identical;
         Alcotest.test_case "share/reuse invariance" `Quick
           test_share_reuse_invariance;
+        Alcotest.test_case "chain: ua741 learns at most 3 patterns" `Quick
+          test_chain_ua741_learns;
+        Alcotest.test_case "chain: runs are history-free" `Quick test_chain_history_free;
+        Alcotest.test_case "chain: full-factor oracle sweep" `Quick test_chain_oracle_sweep;
       ] );
   ]

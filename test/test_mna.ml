@@ -11,6 +11,9 @@ module Gm_c = Symref_circuit.Gm_c
 module Ec = Symref_numeric.Extcomplex
 module Ef = Symref_numeric.Extfloat
 module Cx = Symref_numeric.Cx
+module Sparse = Symref_linalg.Sparse
+module Metrics = Symref_obs.Metrics
+module Inject = Symref_fault.Inject
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -216,6 +219,109 @@ let test_unwrap () =
   check_float "wrap up removed" (-179.) u.(3);
   check_float "second wrap down" (-181.) u.(4)
 
+(* --- the pattern chain --- *)
+
+(* Run [f] with the counters on and zeroed, restoring the prior state. *)
+let with_metrics f =
+  let was = Metrics.enabled () in
+  Metrics.enable ();
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.reset ();
+      if not was then Metrics.disable ())
+    f
+
+let lu_counters () =
+  List.filter (fun (name, _) -> String.length name > 3 && String.sub name 0 3 = "lu.") (Metrics.all ())
+
+let bitwise_value msg a b = Alcotest.(check bool) msg true (Test_kernel.value_bits_equal a b)
+
+let test_chain_capacitor_less () =
+  (* A resistive network with a transconductance stage has no mean
+     capacitance, hence no anchor scale: the chain starts from whatever
+     scale pair comes first and must still agree with the full-factor
+     path. *)
+  let b = N.Builder.create () in
+  N.Builder.resistor b "r1" ~a:"in" ~b:"a" 1e3;
+  N.Builder.resistor b "r2" ~a:"a" ~b:"0" 2.2e3;
+  N.Builder.vccs b "g1" ~p:"out" ~m:"0" ~cp:"a" ~cm:"0" 4e-3;
+  N.Builder.resistor b "r3" ~a:"out" ~b:"0" 10e3;
+  N.Builder.resistor b "r4" ~a:"out" ~b:"a" 47e3;
+  let c = N.Builder.finish b in
+  let mk reuse =
+    Nodal.make ~reuse c ~input:(Nodal.V_single "in") ~output:(Nodal.Out_node "out")
+  in
+  let chain = mk true and oracle = mk false in
+  Alcotest.check_raises "no mean capacitance"
+    (Invalid_argument "Netlist.mean_capacitance: no capacitors") (fun () ->
+      ignore (Nodal.mean_capacitance chain));
+  let points = [| Complex.one; Cx.j; Cx.make (-0.6) 0.8 |] in
+  List.iter
+    (fun (f, g) ->
+      Nodal.restart chain;
+      Alcotest.(check bool) "program learned" true
+        (Nodal.elimination_program ~f ~g chain <> None);
+      Array.iter
+        (fun s ->
+          check_cx ~rel:1e-12 "H agrees with the full-factor path"
+            (Nodal.eval ~f ~g oracle s).Nodal.h (Nodal.eval ~f ~g chain s).Nodal.h)
+        points;
+      let batch = Nodal.eval_batch ~f ~g chain points in
+      Array.iteri
+        (fun i s -> bitwise_value "eval_batch = eval" (Nodal.eval ~f ~g chain s) batch.(i))
+        points)
+    [ (1., 1.); (1e3, 1e-3); (1e-6, 1e6) ]
+
+let test_chain_floor_check_side_effect_free () =
+  (* The floor check that decides whether a pattern is carried to a new
+     scale pair runs the numeric replay, yet must consume no fault-hook hit
+     and touch no [lu.*] counter: an armed plan and the LU accounting see
+     exactly what they saw before chains existed. *)
+  let t =
+    Nodal.make Ua741.circuit
+      ~input:(Nodal.V_diff (Ua741.input_p, Ua741.input_n))
+      ~output:(Nodal.Out_node Ua741.output)
+  in
+  let f0 = 1. /. Nodal.mean_capacitance t and g0 = 1. /. Nodal.mean_conductance t in
+  with_metrics @@ fun () ->
+  Fun.protect ~finally:Inject.disable @@ fun () ->
+  Inject.enable ();
+  Inject.arm Inject.sparse_singular (Inject.Every 1);
+  let prog = Nodal.elimination_program ~f:f0 ~g:g0 t in
+  Alcotest.(check bool) "anchor learned" true (prog <> None);
+  Alcotest.(check int) "one learn" 1 (Metrics.value Metrics.pattern_misses);
+  let lu = lu_counters () in
+  (* A nearby scale pair: the anchor's pivots still pass the floor. *)
+  let carried = Nodal.elimination_program ~f:(f0 *. 1.5) ~g:(g0 /. 1.5) t in
+  Alcotest.(check bool) "pattern carried, not re-learned" true
+    (Option.get carried == Option.get prog
+    && Metrics.value Metrics.pattern_misses = 1
+    && Metrics.value Metrics.pattern_hits = 1);
+  Alcotest.(check int) "no fault-hook hit consumed" 0 (Inject.hits Inject.sparse_singular);
+  Alcotest.(check (list (pair string int))) "lu.* counters untouched" lu (lu_counters ());
+  (* The same test on the bare pattern, in [Sparse]. *)
+  let entry i j = Cx.make (if i = j then 4. -. float_of_int i else 1.) 0. in
+  let bld = Sparse.create 3 in
+  List.iter
+    (fun (i, j) -> Sparse.add bld i j (entry i j))
+    [ (0, 0); (0, 1); (1, 0); (1, 1); (1, 2); (2, 1); (2, 2) ];
+  match Sparse.symbolic bld with
+  | None -> Alcotest.fail "tridiagonal matrix is regular"
+  | Some (pat, _) ->
+      let lu = lu_counters () in
+      let coords = Sparse.pattern_coords pat in
+      let vals = Array.map (fun (i, j) -> entry i j) coords in
+      let tiny = Array.map (fun (i, j) -> if i = j then Cx.make 1e-9 0. else entry i j) coords in
+      Alcotest.(check bool) "learned values pass" true (Sparse.floor_holds pat vals);
+      Alcotest.(check bool) "tiny diagonal fails the floor" false (Sparse.floor_holds pat tiny);
+      Alcotest.(check int) "Sparse: no hit consumed" 0 (Inject.hits Inject.sparse_singular);
+      Alcotest.(check (list (pair string int))) "Sparse: lu.* untouched" lu (lu_counters ());
+      (* The armed hook is still there for the next refactor. *)
+      Alcotest.(check bool) "refactor still sees the armed plan" true
+        (Sparse.refactor pat vals = None);
+      Alcotest.(check int) "one hit, by refactor" 1 (Inject.hits Inject.sparse_singular)
+
 let suite =
   [
     ( "nodal",
@@ -225,6 +331,9 @@ let suite =
         Alcotest.test_case "scaling homogeneity (eq 11)" `Quick test_nodal_scaling_relation;
         Alcotest.test_case "ota dc gain" `Quick test_nodal_ota_dc_gain;
         Alcotest.test_case "unsupported inputs" `Quick test_nodal_unsupported;
+        Alcotest.test_case "chain: capacitor-less circuit" `Quick test_chain_capacitor_less;
+        Alcotest.test_case "chain: floor check side-effect free" `Quick
+          test_chain_floor_check_side_effect_free;
       ] );
     ( "ac",
       [

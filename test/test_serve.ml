@@ -487,29 +487,32 @@ let test_disk_cache_round_trip_and_corruption () =
   Alcotest.(check int) "still one entry" 1 (Serve.Disk_cache.entries dc);
   rm_rf dir
 
+(* The writer side of the two-process sharing test.  It runs in a fresh
+   process of this test binary, started with [disk_cache_writer_arg] as
+   its first argument: [Unix.fork] is refused once the runtime has ever
+   spawned a domain, which the suite does on any multi-core host. *)
+let disk_cache_writer_arg = "disk-cache-writer"
+
+let disk_cache_writer ~dir ~key payload =
+  Serve.Disk_cache.store (Serve.Disk_cache.create ~dir) ~key payload
+
 let test_disk_cache_two_process_sharing () =
   let dir = temp_dir "symref-disk-share" in
   let payload = String.concat "," (List.init 64 string_of_int) in
   let key = Digest.to_hex (Digest.string "shared") in
-  (* Park the domain pool so the forked child owns a single-domain
-     runtime (a stop-the-world section in the child would otherwise wait
-     forever on domains that only exist in the parent). *)
-  Symref_core.Domain_pool.shutdown ();
-  (match Unix.fork () with
-  | 0 ->
-      (* The child is a genuinely separate process with its own handle on
-         the shared directory — the writer side of the fleet. *)
-      let dc = Serve.Disk_cache.create ~dir in
-      Serve.Disk_cache.store dc ~key payload;
-      Unix._exit 0
-  | pid ->
-      let _, status = Unix.waitpid [] pid in
-      Alcotest.(check bool) "writer exited cleanly" true
-        (status = Unix.WEXITED 0);
-      let dc = Serve.Disk_cache.create ~dir in
-      Alcotest.(check (option string)) "reader sees the writer's entry"
-        (Some payload)
-        (Serve.Disk_cache.find dc ~key));
+  (* The child is a genuinely separate process with its own handle on the
+     shared directory — the writer side of the fleet. *)
+  let pid =
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; disk_cache_writer_arg; dir; key; payload |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let _, status = Unix.waitpid [] pid in
+  Alcotest.(check bool) "writer exited cleanly" true (status = Unix.WEXITED 0);
+  let dc = Serve.Disk_cache.create ~dir in
+  Alcotest.(check (option string)) "reader sees the writer's entry"
+    (Some payload)
+    (Serve.Disk_cache.find dc ~key);
   rm_rf dir
 
 let test_disk_cache_restart_replay () =

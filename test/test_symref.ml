@@ -1,3 +1,12 @@
+(* Hidden entry point: the writer child of the disk-cache sharing test
+   re-executes this binary rather than forking it. *)
+let () =
+  match Sys.argv with
+  | [| _; arg; dir; key; payload |] when arg = Test_serve.disk_cache_writer_arg ->
+      Test_serve.disk_cache_writer ~dir ~key payload;
+      exit 0
+  | _ -> ()
+
 (* Deterministic seed for the property tests unless the caller overrides. *)
 let () =
   if Sys.getenv_opt "QCHECK_SEED" = None then Unix.putenv "QCHECK_SEED" "414243"
