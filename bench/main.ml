@@ -736,10 +736,14 @@ let run_fleet_chaos ~smoke =
   let dir = Filename.temp_dir "symref-chaos" "" in
   let sock i = Filename.concat dir (Printf.sprintf "w%d.sock" i) in
   let addrs = List.init 3 (fun i -> Stransport.parse (sock i)) in
-  (* Key set: grown until every worker owns at least one key on the
-     {e actual} ring (placement hashes the socket addresses), so the
-     tarpitted worker is guaranteed primary for some jobs (the hedge
-     trigger) and the crash-looper is guaranteed submissions. *)
+  (* Key set: grown until, over the job sequence the threads walk (key
+     [n mod keys] for a thread's [n]th submit), the crash-looping worker is
+     the primary owner of more than [crash_skip] submits, so it is sure to
+     reach its crash, and the other two of at least one each (the tarpit
+     as primary is the hedge trigger).  Placement hashes the socket
+     addresses, which live in a fresh temporary directory: the ring
+     differs from run to run, so this is decided on the {e actual} ring.
+     Each thread walks at least every key once. *)
   let job_of_key i =
     {
       Sproto.default_job with
@@ -747,16 +751,28 @@ let run_fleet_chaos ~smoke =
       id = Some (Printf.sprintf "chaos%02d" i);
     }
   in
+  let max_keys = 64 in
+  let walk keys = Int.max per_thread keys in
   let keys =
     let probe = Srouter.create addrs in
-    let covered k =
-      let owners =
-        List.init k (fun i ->
-            List.hd (Srouter.route probe (Srouter.job_key (job_of_key i))))
-      in
-      List.for_all (fun w -> List.mem w owners) [ 0; 1; 2 ]
+    let owner =
+      Array.init max_keys (fun i ->
+          List.hd (Srouter.route probe (Srouter.job_key (job_of_key i))))
     in
-    let rec grow k = if k >= 64 || covered k then k else grow (k + 1) in
+    let submits keys w =
+      let n = ref 0 in
+      for j = 0 to walk keys - 1 do
+        if owner.(j mod keys) = w then incr n
+      done;
+      threads * !n
+    in
+    let placed k = submits k 1 > crash_skip && submits k 0 > 0 && submits k 2 > 0 in
+    let rec grow k =
+      if placed k then k
+      else if k >= max_keys then
+        failwith "fleet-chaos: no key set gives the crash-looping worker enough submits"
+      else grow (k + 1)
+    in
     grow base_keys
   in
   let jobs = Array.init keys job_of_key in
@@ -815,7 +831,7 @@ let run_fleet_chaos ~smoke =
        each owner concurrently: capacity 1 + queue 0 makes the excess shed
        (typed Overloaded), which the client absorbs by honoring the
        retry_after hint — chaos must stay invisible to callers. *)
-    for n = 0 to per_thread - 1 do
+    for n = 0 to walk keys - 1 do
       let k = n mod keys in
       let t0 = wall () in
       let rec attempt left =
@@ -903,7 +919,7 @@ let run_fleet_chaos ~smoke =
     if n = 0 then Float.nan
     else lats.(Int.min (n - 1) (int_of_float (p *. float_of_int n)))
   in
-  let total = threads * per_thread in
+  let total = threads * walk keys in
   Printf.printf
     "chaos: %d jobs over %d threads, %d keys -> p50 %.2f ms  p99 %.2f ms\n\
      contract: errors %d, payload mismatches %d (client retries %d)\n\

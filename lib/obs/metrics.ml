@@ -161,6 +161,12 @@ let router_breaker_closes = counter "router.breaker_close"
 let fleet_restarts = counter "fleet.restarts"
 let fleet_giveups = counter "fleet.giveups"
 
+(* The fast lane of a cache hit: pooled router-to-worker connections and
+   the worker's spelling memo in front of parse. *)
+let router_pool_reuses = counter "router.pool_reuses"
+let router_pool_connects = counter "router.pool_connects"
+let serve_spelling_hits = counter "serve.spelling_hits"
+
 (* The simplify family: the reference-driven simplification pipeline
    ([Symref_simplify.Pipeline]).  Retries are tightened SDG/SAG re-runs
    after a failed verification; fallbacks are runs that ended on the exact

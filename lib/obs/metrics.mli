@@ -263,6 +263,22 @@ val fleet_giveups : counter
 (** Worker slots the supervisor stopped restarting because the crash-loop
     budget was exhausted. *)
 
+(** {2 The fast lane}
+
+    What a repeated job skips: the router's per-worker pool of kept
+    connections and the worker's spelling memo ({!Symref_serve.Cache.find_alias}). *)
+
+val router_pool_reuses : counter
+(** Forwards sent on a kept connection taken from the worker's pool. *)
+
+val router_pool_connects : counter
+(** Fresh connections attempted for forwards: the pool was empty, or a
+    kept connection was found closed. *)
+
+val serve_spelling_hits : counter
+(** Jobs answered through the spelling memo, without parsing the netlist;
+    also counted in [serve.cache_hit]. *)
+
 (** {2 The simplify family}
 
     The reference-driven simplification pipeline

@@ -48,6 +48,9 @@ type t = {
   router_breaker_closes : int;
   fleet_restarts : int;
   fleet_giveups : int;
+  router_pool_reuses : int;
+  router_pool_connects : int;
+  serve_spelling_hits : int;
   simplify_requests : int;
   simplify_retries : int;
   simplify_fallbacks : int;
@@ -108,6 +111,9 @@ let zero =
     router_breaker_closes = 0;
     fleet_restarts = 0;
     fleet_giveups = 0;
+    router_pool_reuses = 0;
+    router_pool_connects = 0;
+    serve_spelling_hits = 0;
     simplify_requests = 0;
     simplify_retries = 0;
     simplify_fallbacks = 0;
@@ -170,6 +176,9 @@ let capture () =
     router_breaker_closes = Metrics.value Metrics.router_breaker_closes;
     fleet_restarts = Metrics.value Metrics.fleet_restarts;
     fleet_giveups = Metrics.value Metrics.fleet_giveups;
+    router_pool_reuses = Metrics.value Metrics.router_pool_reuses;
+    router_pool_connects = Metrics.value Metrics.router_pool_connects;
+    serve_spelling_hits = Metrics.value Metrics.serve_spelling_hits;
     simplify_requests = Metrics.value Metrics.simplify_requests;
     simplify_retries = Metrics.value Metrics.simplify_retries;
     simplify_fallbacks = Metrics.value Metrics.simplify_fallbacks;
@@ -320,6 +329,15 @@ let fields =
     ( "fleet.giveups",
       (fun t -> t.fleet_giveups),
       fun t v -> { t with fleet_giveups = v } );
+    ( "router.pool_reuses",
+      (fun t -> t.router_pool_reuses),
+      fun t v -> { t with router_pool_reuses = v } );
+    ( "router.pool_connects",
+      (fun t -> t.router_pool_connects),
+      fun t v -> { t with router_pool_connects = v } );
+    ( "serve.spelling_hits",
+      (fun t -> t.serve_spelling_hits),
+      fun t v -> { t with serve_spelling_hits = v } );
     ( "simplify.requests",
       (fun t -> t.simplify_requests),
       fun t v -> { t with simplify_requests = v } );

@@ -59,6 +59,9 @@ type t = {
   router_breaker_closes : int;  (** breakers closed by a success *)
   fleet_restarts : int;  (** crashed workers restarted by the supervisor *)
   fleet_giveups : int;  (** worker slots abandoned past the crash budget *)
+  router_pool_reuses : int;  (** forwards sent on a kept connection *)
+  router_pool_connects : int;  (** fresh connections attempted for forwards *)
+  serve_spelling_hits : int;  (** jobs answered by the spelling memo *)
   simplify_requests : int;  (** simplification pipeline runs started *)
   simplify_retries : int;  (** tightened SDG/SAG re-runs after verification *)
   simplify_fallbacks : int;  (** runs ending on the exact pruned expression *)

@@ -1,54 +1,108 @@
 module Json = Symref_obs.Json
 module Metrics = Symref_obs.Metrics
 
+(* A connection reads its raw descriptor through its own line buffer (no
+   in_channel), so a caller multiplexing several connections on one
+   [Unix.select] never has bytes hidden in a channel buffer that select
+   cannot see. *)
 type t = {
   fd : Unix.file_descr;
-  ic : in_channel;
-  oc : out_channel;
-  banner : Json.t;
+  buf : Buffer.t; (* received bytes not yet returned as a line *)
+  scratch : Bytes.t;
+  mutable banner : Json.t;
 }
 
-let connect ~addr =
-  let fd = Transport.connect addr in
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let banner =
-    match input_line ic with
-    | line -> Json.parse line
-    | exception End_of_file ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Errors.fail Errors.No_banner
-  in
-  (* Version check at Hello, before any request crosses the wire: accept
-     any protocol in [min_protocol_version, protocol_version] — older
-     compatible peers keep a mixed-version fleet talking during a rolling
-     restart — and refuse a missing field or a peer newer than this build
-     (whose changes we cannot vouch for). *)
+let make fd =
+  { fd; buf = Buffer.create 1024; scratch = Bytes.create 65536; banner = Json.Null }
+
+let fd t = t.fd
+let banner t = t.banner
+let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
+let pending_input t = Buffer.length t.buf > 0
+
+(* The first complete line in the buffer, removed with its newline. *)
+let buffered_line t =
+  let s = Buffer.contents t.buf in
+  match String.index_opt s '\n' with
+  | None -> None
+  | Some i ->
+      Buffer.clear t.buf;
+      Buffer.add_substring t.buf s (i + 1) (String.length s - i - 1);
+      Some (String.sub s 0 i)
+
+let rec read_step t =
+  match if pending_input t then buffered_line t else None with
+  | Some line -> `Line line
+  | None -> (
+      match Unix.read t.fd t.scratch 0 (Bytes.length t.scratch) with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_step t
+      | 0 -> `Eof
+      | n ->
+          Buffer.add_subbytes t.buf t.scratch 0 n;
+          let rec newline i = i < n && (Bytes.get t.scratch i = '\n' || newline (i + 1)) in
+          match if newline 0 then buffered_line t else None with
+          | Some line -> `Line line
+          | None -> `More)
+
+(* [input_line]'s contract: a final unterminated line is still a line;
+   End_of_file only when nothing at all is left. *)
+let rec read_line t =
+  match read_step t with
+  | `Line line -> line
+  | `More -> read_line t
+  | `Eof ->
+      if pending_input t then begin
+        let s = Buffer.contents t.buf in
+        Buffer.clear t.buf;
+        s
+      end
+      else raise End_of_file
+
+(* Version check at Hello, before any request crosses the wire: accept
+   any protocol in [min_protocol_version, protocol_version] — older
+   compatible peers keep a mixed-version fleet talking during a rolling
+   restart — and refuse a missing field or a peer newer than this build
+   (whose changes we cannot vouch for). *)
+let greet t line =
+  let banner = Json.parse line in
   let got =
     match Json.member "protocol" banner with
     | Some v -> ( try Json.to_int v with Failure _ -> 0)
     | None -> 0
   in
   if got < Protocol.min_protocol_version || got > Protocol.protocol_version
-  then begin
-    (try Unix.close fd with Unix.Unix_error _ -> ());
+  then
     Errors.fail
-      (Errors.Version_mismatch { got; want = Protocol.protocol_version })
-  end;
-  { fd; ic; oc; banner }
+      (Errors.Version_mismatch { got; want = Protocol.protocol_version });
+  t.banner <- banner
 
-let banner t = t.banner
+let connect ~addr =
+  let t = make (Transport.connect addr) in
+  match greet t (read_line t) with
+  | () -> t
+  | exception End_of_file ->
+      close t;
+      Errors.fail Errors.No_banner
+  | exception e ->
+      close t;
+      raise e
+
+let start_connect ~addr =
+  let fd, established = Transport.connect_start addr in
+  (make fd, established)
+
+let finish_connect t = Transport.connect_finish t.fd
+
+let send t req =
+  let line = Json.to_string (Protocol.request_to_json req) ^ "\n" in
+  ignore (Unix.write_substring t.fd line 0 (String.length line))
 
 let request t req =
-  output_string t.oc (Json.to_string (Protocol.request_to_json req));
-  output_char t.oc '\n';
-  flush t.oc;
-  match input_line t.ic with
+  send t req;
+  match read_line t with
   | line -> Protocol.reply_of_json (Json.parse line)
   | exception End_of_file ->
       Errors.fail (Errors.Connection_closed { during = "the reply" })
-
-let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let with_connection ~addr f =
   let t = connect ~addr in

@@ -35,6 +35,40 @@ val close : t -> unit
 val with_connection : addr:Transport.address -> (t -> 'a) -> 'a
 (** Connect, run, close (also on exceptions). *)
 
+(** {1 Step by step}
+
+    The same exchange split at every wait, for a caller that drives
+    several connections from one [Unix.select] (the router's hedged
+    forwards): {!start_connect}, wait writable, {!finish_connect}; wait
+    readable, {!read_step} until the banner line, {!greet}; {!send}; wait
+    readable, {!read_step} until the reply line.  A connection whose
+    reply has been read in full can carry the next request. *)
+
+val start_connect : addr:Transport.address -> t * bool
+(** {!Transport.connect_start} on a fresh connection; [true] when already
+    established. *)
+
+val finish_connect : t -> unit
+(** {!Transport.connect_finish}.  @raise Unix.Unix_error with the
+    connect's error. *)
+
+val fd : t -> Unix.file_descr
+(** The descriptor to wait on. *)
+
+val read_step : t -> [ `Line of string | `More | `Eof ]
+(** At most one [read]: the next complete line if one has arrived,
+    [`More] if it is still partial, [`Eof] when the peer closed. *)
+
+val pending_input : t -> bool
+(** Bytes have arrived toward a line not yet returned. *)
+
+val greet : t -> string -> unit
+(** Parse and check a banner line, as {!connect} does.
+    @raise Errors.Error [Version_mismatch], [Failure] on malformed JSON. *)
+
+val send : t -> Protocol.request -> unit
+(** Write one request line (blocking). *)
+
 (** {1 Retry with capped exponential backoff} *)
 
 type backoff = {

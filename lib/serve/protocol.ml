@@ -65,6 +65,28 @@ let default_job =
     timeout_ms = None;
   }
 
+(* Over the job's spelling, not its canonical netlist: no parse, so the
+   router can place a job and a worker can find a repeat before either
+   reads the netlist.  [id] and [timeout_ms] do not change the answer and
+   stay out. *)
+let spelling_key job =
+  let netlist =
+    match job.netlist with
+    | `Text s -> "text\x00" ^ s
+    | `Path p -> "path\x00" ^ p
+  in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x00"
+          [
+            netlist;
+            analysis_to_string job.analysis;
+            job.input;
+            (match job.output with Some o -> o | None -> "");
+            string_of_int job.sigma;
+            Printf.sprintf "%.17g" job.r;
+          ]))
+
 type request = Hello | Stats | Submit of job | Shutdown
 
 let num x = Json.Num x

@@ -66,6 +66,13 @@ val default_job : job
 (** [Reference] analysis of [`Text ""], input [auto], everything else at
     the CLI defaults — the base the decoder fills in. *)
 
+val spelling_key : job -> string
+(** MD5 hex over the job's spelling: netlist text or path, analysis,
+    input, output, [sigma] and [r].  No parsing, so formatting variants of
+    one circuit get different keys.  The router places jobs on its ring by
+    this key ({!Router.job_key}) and a worker maps it to the canonical
+    cache key of a [`Text] job it has answered ({!Cache.find_alias}). *)
+
 type request =
   | Hello  (** capability/version exchange *)
   | Stats  (** counter snapshot + cache and scheduler gauges *)

@@ -9,17 +9,20 @@
    (warm) share.
 
    The router holds no job state: it forwards one request, relays one
-   reply.  Worker health is tracked by a per-worker circuit breaker
-   (closed -> open on failures -> half-open probe -> closed), but the
-   marks stay advisory: when every candidate's breaker refuses, the walk
-   tries them all anyway — a stale "open" must degrade to a slow request,
-   not an outage.
+   reply.  Forwards travel on kept connections, a small idle pool per
+   worker, so a cache hit costs one exchange and no connect.  Worker
+   health is tracked by a per-worker circuit breaker (closed -> open on
+   failures -> half-open probe -> closed), but the marks stay advisory:
+   when every candidate's breaker refuses, the walk tries them all
+   anyway — a stale "open" must degrade to a slow request, not an outage.
 
    Tail latency is covered by hedging: when the owner has not answered
    after a delay derived from recent forward latencies (p99, clamped), the
    same job is re-issued to the next ring candidate and the first reply
-   wins.  Workers are deterministic and idempotent, so a duplicated job
-   can only waste one worker's time, never change the answer. *)
+   wins.  Both exchanges run on the forwarding thread, multiplexed by one
+   [Unix.select].  Workers are deterministic and idempotent, so a
+   duplicated job can only waste one worker's time, never change the
+   answer. *)
 
 module Json = Symref_obs.Json
 module Metrics = Symref_obs.Metrics
@@ -59,6 +62,9 @@ type worker = {
   mutable streak : int;  (* opens since the last close, paces re-probing *)
   mutable probes : int;  (* probes sent, salts the deterministic jitter *)
   mutable next_probe : float;  (* prober schedule, unix time *)
+  mutable idle : Client.t list;  (* kept connections, each between exchanges *)
+  mutable reuses : int;  (* forwards sent on a kept connection *)
+  mutable connects : int;  (* connections opened for forwards *)
 }
 
 let lat_window = 256
@@ -73,11 +79,11 @@ type t = {
   lat : float array; (* ring buffer of forward latencies, ms *)
   mutable lat_n : int; (* samples recorded, saturates at lat_window *)
   mutable lat_i : int; (* next write slot *)
-  lock : Mutex.t; (* guards breaker fields and the latency buffer *)
+  lock : Mutex.t; (* guards worker fields and the latency buffer *)
 }
 
-(* A signal must never unwind a serve loop or strand a hedge race: an
-   interrupted nap just ends early (callers all re-check their clocks). *)
+(* A signal must never unwind the prober loop: an interrupted nap just ends
+   early. *)
 let sleepf s =
   try Unix.sleepf s with Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
@@ -100,6 +106,9 @@ let create ?(replicas = 64) ?(backoff = default_backoff)
   if replicas < 1 then invalid_arg "Router.create: replicas must be >= 1";
   if breaker.threshold < 1 then
     invalid_arg "Router.create: breaker threshold must be >= 1";
+  (* A kept connection whose worker has died fails on the next write: that
+     must come back as EPIPE, not kill the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let workers =
     Array.of_list
       (List.map
@@ -111,6 +120,9 @@ let create ?(replicas = 64) ?(backoff = default_backoff)
              streak = 0;
              probes = 0;
              next_probe = 0.;
+             idle = [];
+             reuses = 0;
+             connects = 0;
            })
          addrs)
   in
@@ -142,28 +154,10 @@ let create ?(replicas = 64) ?(backoff = default_backoff)
 
 let workers t = Array.to_list (Array.map (fun w -> w.addr) t.workers)
 
-(* The routing key is over the job's *spelling* (raw netlist text or path,
-   analysis, io, sigma, r): cheap, deterministic, and identical requests
-   always land on the same worker — which is what makes each worker's LRU
-   cache effective.  It intentionally does not canonicalise the netlist;
-   only the owning worker pays for parsing. *)
-let job_key (job : Protocol.job) =
-  let netlist =
-    match job.Protocol.netlist with
-    | `Text s -> "text\x00" ^ s
-    | `Path p -> "path\x00" ^ p
-  in
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          [
-            netlist;
-            Protocol.analysis_to_string job.Protocol.analysis;
-            job.Protocol.input;
-            (match job.Protocol.output with Some o -> o | None -> "");
-            string_of_int job.Protocol.sigma;
-            Printf.sprintf "%.17g" job.Protocol.r;
-          ]))
+(* Identical requests always land on the same worker, which is what makes
+   each worker's LRU cache effective; only the owner parses the netlist,
+   and only the first time it sees this spelling. *)
+let job_key = Protocol.spelling_key
 
 (* First ring slot at or clockwise-after [h] (binary search, wrapping). *)
 let ring_start t h =
@@ -228,10 +222,14 @@ let cooldown_s t (w : worker) =
     (t.breaker.cooldown_ms *. Float.pow 2. (float_of_int (Int.min w.streak 10)))
   /. 1000.
 
+(* Kept connections of a worker judged down are dropped with it: the next
+   forward after recovery connects afresh. *)
 let open_locked t (w : worker) now =
   w.state <- Open { until = now +. cooldown_s t w };
   w.streak <- w.streak + 1;
   w.failures <- 0;
+  List.iter Client.close w.idle;
+  w.idle <- [];
   Metrics.incr Metrics.router_breaker_opens;
   Metrics.incr Metrics.router_dead_workers
 
@@ -297,8 +295,19 @@ let claim_half_open t wi =
       match w.state with
       | Open { until } when now >= until ->
           w.state <- Half_open { since = now };
-          Metrics.incr Metrics.router_breaker_half_opens
-      | Closed | Open _ | Half_open _ -> ())
+          Metrics.incr Metrics.router_breaker_half_opens;
+          true
+      | Closed | Open _ | Half_open _ -> false)
+
+(* A probe abandoned without a verdict (the other racer won) hands the
+   half-open slot back: Open with its cooldown already spent, so the next
+   request claims it again instead of waiting for the prober's grace. *)
+let release_half_open t wi =
+  with_lock t (fun () ->
+      let w = t.workers.(wi) in
+      match w.state with
+      | Half_open _ -> w.state <- Open { until = Unix.gettimeofday () }
+      | Closed | Open _ -> ())
 
 let breaker_state t wi : breaker_view =
   with_lock t (fun () ->
@@ -341,35 +350,241 @@ let hedge_delay_ms t =
         in
         Float.max h.after_ms_min (Float.min h.after_ms_max sample.(i))
 
-(* One forwarded exchange; transient failures surface as [Error] so the
-   walk can fail over.  Anything non-transient (a version mismatch, a bad
-   spec mapped by the worker, a malformed reply) surfaces as
-   [Error (`Fatal _)] — the next worker would only say the same thing, but
-   the exception must stay a value: letting it escape would strand a hedge
-   race mid-wait or kill a connection handler without a reply.  A fatal
-   exchange feeds neither breaker direction — the worker answered, so it
-   is not down, and a bad job must not open a healthy worker's circuit. *)
+(* --- forwarding: pooled connections, one select per race --- *)
+
+let checkout t wi =
+  with_lock t (fun () ->
+      let w = t.workers.(wi) in
+      match w.idle with
+      | c :: rest ->
+          w.idle <- rest;
+          w.reuses <- w.reuses + 1;
+          Some c
+      | [] -> None)
+
+let checkin t wi c =
+  with_lock t (fun () ->
+      let w = t.workers.(wi) in
+      w.idle <- c :: w.idle)
+
+(* Where one exchange with one worker stands, and what it waits for. *)
+type phase =
+  | Connecting  (* non-blocking connect in flight: wait writable *)
+  | Greeting  (* wait readable: the banner line *)
+  | Awaiting  (* request sent; wait readable: the reply line *)
+  | Pausing of float  (* backoff until this time, then a new attempt *)
+  | Finished of
+      ( Protocol.reply,
+        [ `Unix of Unix.error | `Typed of Errors.t | `Sys of string | `Fatal of exn ]
+      )
+      result
+
+type racer = {
+  wi : int;
+  req : Protocol.request;
+  pooled : bool;  (* forwards take kept connections and return them *)
+  started : float;
+  claimed : bool;  (* this exchange is the worker's half-open probe *)
+  mutable conn : Client.t option;
+  mutable reused : bool;  (* [conn] came from the pool *)
+  mutable attempt : int;  (* backoff retries spent *)
+  mutable phase : phase;
+}
+
+let connect_fresh t r =
+  if r.pooled then begin
+    Metrics.incr Metrics.router_pool_connects;
+    with_lock t (fun () ->
+        let w = t.workers.(r.wi) in
+        w.connects <- w.connects + 1)
+  end;
+  r.reused <- false;
+  let c, established = Client.start_connect ~addr:t.workers.(r.wi).addr in
+  r.conn <- Some c;
+  r.phase <- (if established then Greeting else Connecting)
+
+let launch t r =
+  match if r.pooled then checkout t r.wi else None with
+  | Some c ->
+      Metrics.incr Metrics.router_pool_reuses;
+      r.conn <- Some c;
+      r.reused <- true;
+      r.phase <- Awaiting;
+      Client.send c r.req
+  | None -> connect_fresh t r
+
+let is_backpressure (reply : Protocol.reply) =
+  reply.Protocol.status = Protocol.Busy
+  || reply.Protocol.status = Protocol.Overloaded
+
+(* Retries follow {!Client.retry_request}'s schedule: backpressure and
+   transient failures sleep [delay_after] (in [Pausing], so a race keeps
+   running) until [backoff.attempts] is spent. *)
+let pause t r ~retry_after_ms =
+  Metrics.incr Metrics.serve_client_retries;
+  let ms = Client.delay_after t.backoff ~attempt:r.attempt ~retry_after_ms in
+  r.attempt <- r.attempt + 1;
+  r.phase <- Pausing (Unix.gettimeofday () +. (ms /. 1000.))
+
+let retries_left t r = r.attempt < t.backoff.Client.attempts - 1
+
+(* A complete reply: the connection is between exchanges again, so a
+   forward returns it to the pool. *)
+let succeed t r reply =
+  (match r.conn with
+  | Some c when r.pooled && not (Client.pending_input c) -> checkin t r.wi c
+  | Some c -> Client.close c
+  | None -> ());
+  r.conn <- None;
+  if is_backpressure reply && retries_left t r then
+    pause t r ~retry_after_ms:(Protocol.retry_after_ms reply)
+  else begin
+    record_success t r.wi;
+    (match r.req with
+    | Protocol.Submit _ ->
+        record_latency t ((Unix.gettimeofday () -. r.started) *. 1000.)
+    | Protocol.Hello | Protocol.Stats | Protocol.Shutdown -> ());
+    r.phase <- Finished (Ok reply)
+  end
+
+(* Transient failures feed the breaker and let the walk fail over.
+   Anything else (a version mismatch, a malformed reply) is [`Fatal]: the
+   next worker would say the same, and it feeds neither breaker direction —
+   the worker answered, so it is not down. *)
+let rec fail t r e =
+  let stale =
+    r.reused
+    && match r.conn with Some c -> not (Client.pending_input c) | None -> false
+  in
+  Option.iter Client.close r.conn;
+  r.conn <- None;
+  let failure =
+    match e with
+    | Unix.Unix_error (errno, _, _) when Client.transient_errno errno -> `Unix errno
+    | Errors.Error err when Errors.transient err -> `Typed err
+    | Sys_error m -> `Sys m
+    | e -> `Fatal e
+  in
+  match failure with
+  | `Fatal _ -> r.phase <- Finished (Error failure)
+  | `Unix _ | `Typed _ | `Sys _ ->
+      if stale then
+        (* A kept connection that died before any reply byte (the worker
+           restarted, or closed it) says nothing about the worker now: one
+           fresh connection, no breaker failure, no failover. *)
+        guard t r (fun () -> connect_fresh t r)
+      else if retries_left t r then pause t r ~retry_after_ms:None
+      else begin
+        record_failure t r.wi;
+        r.phase <- Finished (Error failure)
+      end
+
+(* Every step of a racer goes through here, so no exception escapes a
+   race: it becomes the racer's verdict. *)
+and guard t r f = try f () with e -> fail t r e
+
+let start t wi req ~pooled =
+  let r =
+    {
+      wi;
+      req;
+      pooled;
+      started = Unix.gettimeofday ();
+      claimed = claim_half_open t wi;
+      conn = None;
+      reused = false;
+      attempt = 0;
+      phase = Connecting;
+    }
+  in
+  guard t r (fun () -> launch t r);
+  r
+
+(* Move [r] on after its descriptor became ready. *)
+let advance t r =
+  guard t r (fun () ->
+      match (r.phase, r.conn) with
+      | Connecting, Some c ->
+          Client.finish_connect c;
+          r.phase <- Greeting
+      | Greeting, Some c -> (
+          match Client.read_step c with
+          | `Line line ->
+              Client.greet c line;
+              r.phase <- Awaiting;
+              Client.send c r.req
+          | `More -> ()
+          | `Eof -> Errors.fail Errors.No_banner)
+      | Awaiting, Some c -> (
+          match Client.read_step c with
+          | `Line line -> succeed t r (Protocol.reply_of_json (Json.parse line))
+          | `More -> ()
+          | `Eof when Client.pending_input c ->
+              failwith "reply truncated: the worker closed mid-line"
+          | `Eof -> Errors.fail (Errors.Connection_closed { during = "the reply" }))
+      | Pausing _, _ -> launch t r
+      | (Connecting | Greeting | Awaiting | Finished _), _ -> ())
+
+let finished r = match r.phase with Finished _ -> true | _ -> false
+
+(* One [Unix.select] over the racers' descriptors, bounded by [until] and
+   by any racer's backoff; then advance every racer that can move.  A
+   select that fails (a descriptor past FD_SETSIZE gives EINVAL) fails
+   the racers that were waiting on it, so a forward still never raises. *)
+let step t racers ~until =
+  let reads, writes, wake =
+    List.fold_left
+      (fun (reads, writes, wake) r ->
+        match (r.phase, r.conn) with
+        | Connecting, Some c -> (reads, Client.fd c :: writes, wake)
+        | (Greeting | Awaiting), Some c -> (Client.fd c :: reads, writes, wake)
+        | Pausing at, _ -> (reads, writes, Float.min wake at)
+        | _ -> (reads, writes, wake))
+      ([], [], until) racers
+  in
+  let timeout =
+    if wake = infinity then -1. else Float.max 0. (wake -. Unix.gettimeofday ())
+  in
+  let readable, writable =
+    match Unix.select reads writes [] timeout with
+    | r, w, _ -> (r, w)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
+    | exception e ->
+        List.iter
+          (fun r ->
+            match r.phase with
+            | Connecting | Greeting | Awaiting -> fail t r e
+            | Pausing _ | Finished _ -> ())
+          racers;
+        ([], [])
+  in
+  let now = Unix.gettimeofday () in
+  List.iter
+    (fun r ->
+      match (r.phase, r.conn) with
+      | Connecting, Some c when List.mem (Client.fd c) writable -> advance t r
+      | (Greeting | Awaiting), Some c when List.mem (Client.fd c) readable -> advance t r
+      | Pausing at, _ when now >= at -> advance t r
+      | _ -> ())
+    racers
+
+(* An exchange still in flight is closed, never pooled: its late reply can
+   never be read as another request's. *)
+let abandon t r =
+  Option.iter Client.close r.conn;
+  r.conn <- None;
+  if r.claimed && not (finished r) then release_half_open t r.wi
+
+(* One exchange with worker [w], retries included.  Forwards ([Submit])
+   use the worker's kept connections; Hello probes and Stats open their
+   own, so a probe still tests the accept path. *)
 let try_worker t w req =
-  claim_half_open t w;
-  let t0 = Unix.gettimeofday () in
-  match Client.retry_request ~backoff:t.backoff ~addr:t.workers.(w).addr req with
-  | reply ->
-      record_success t w;
-      (match req with
-      | Protocol.Submit _ ->
-          record_latency t ((Unix.gettimeofday () -. t0) *. 1000.)
-      | Protocol.Hello | Protocol.Stats | Protocol.Shutdown -> ());
-      Ok reply
-  | exception Unix.Unix_error (e, _, _) when Client.transient_errno e ->
-      record_failure t w;
-      Error (`Unix e)
-  | exception Errors.Error e when Errors.transient e ->
-      record_failure t w;
-      Error (`Typed e)
-  | exception Sys_error m ->
-      record_failure t w;
-      Error (`Sys m)
-  | exception e -> Error (`Fatal e)
+  let pooled = match req with Protocol.Submit _ -> true | _ -> false in
+  let r = start t w req ~pooled in
+  while not (finished r) do
+    step t [ r ] ~until:infinity
+  done;
+  match r.phase with Finished outcome -> outcome | _ -> assert false
 
 (* A non-transient exchange failure becomes the client's structured reply:
    it is deterministic in the job (every worker would say the same), so
@@ -384,115 +599,76 @@ let fatal_reply (job : Protocol.job) e =
   in
   Protocol.error ~id:job.Protocol.id ~kind msg
 
-(* Race the owner against the next candidate: the primary goes out now,
-   the hedge fires once [delay_ms] passes without a primary verdict — or
-   immediately if the primary fails first (then it is ordinary failover,
-   not a hedge).  First Ok wins; the loser is abandoned, not joined —
-   its thread just finds the race decided and exits, costing at most one
-   wasted worker computation (idempotent by construction). *)
+(* Race the owner against the next candidate on the calling thread: the
+   primary goes out now, the hedge once [delay_ms] passes without a
+   primary verdict — or at once if the primary fails first (then it is
+   ordinary failover, not a hedge).  First Ok wins.  Backpressure or a
+   fatal verdict from the primary ends the race (hedging must not pile
+   load onto an overloaded fleet, and the hedge could only repeat a
+   deterministic failure); from the hedge they are only fallbacks, since
+   the owner may still answer.  The loser is abandoned: at most one
+   wasted worker computation, idempotent by construction. *)
 let hedged_pair t job w1 w2 delay_ms =
-  let m = Mutex.create () in
-  let cv = Condition.create () in
-  let first_ok = ref None in
-  let backpressure = ref None in
-  let fatal = ref None in
-  let primary_bp = ref false in
-  let primary_fatal = ref false in
+  let req = Protocol.Submit job in
+  let deadline = Unix.gettimeofday () +. (delay_ms /. 1000.) in
+  let primary = start t w1 req ~pooled:true in
+  let hedge = ref None in
+  let first_ok = ref None and backpressure = ref None and fatal = ref None in
   let primary_failed = ref false in
-  let completed = ref 0 in
-  let is_bp (reply : Protocol.reply) =
-    reply.Protocol.status = Protocol.Busy
-    || reply.Protocol.status = Protocol.Overloaded
-  in
-  let finish outcome ~hedged =
-    Mutex.lock m;
-    (match outcome with
-    | Ok reply when is_bp reply ->
-        (* Backpressure from the owner ends the race at once — exactly the
-           unhedged relay, and hedging must not duplicate load onto the
-           rest of an overloaded fleet.  Backpressure from the hedge is
-           only a fallback: the owner may still produce a real answer. *)
+  (* Record a finished racer's verdict; [true] when it ends the race. *)
+  let take ~hedged = function
+    | Ok reply when is_backpressure reply ->
         if (not hedged) || !backpressure = None then backpressure := Some reply;
-        if not hedged then primary_bp := true
-    | Ok reply when !first_ok = None -> first_ok := Some (reply, hedged)
-    | Ok _ -> ()
+        not hedged
+    | Ok reply ->
+        first_ok := Some (reply, hedged);
+        true
     | Error (`Fatal e) ->
-        (* Deterministic in the job, not a failover trigger: primary-side
-           it must end the race — the hedge could only repeat the same
-           verdict — and either side it is the reply of last resort. *)
         if !fatal = None then fatal := Some e;
-        if not hedged then primary_fatal := true
-    | Error _ -> if not hedged then primary_failed := true);
-    incr completed;
-    Condition.signal cv;
-    Mutex.unlock m
+        not hedged
+    | Error (`Unix _ | `Typed _ | `Sys _) ->
+        if not hedged then primary_failed := true;
+        false
   in
-  (* A racer must always report back through [finish]: an exception that
-     escaped a racer thread would leave [completed] short and the
-     coordinator in Condition.wait forever (hanging the client connection
-     and, later, router shutdown's Thread.join).  [try_worker] is total by
-     construction; the catch-all is the belt for whatever it misses. *)
-  let race w ~hedged =
-    let outcome =
-      try try_worker t w (Protocol.Submit job) with e -> Error (`Fatal e)
-    in
-    finish outcome ~hedged
+  let seen_primary = ref false and seen_hedge = ref false in
+  let verdict r seen ~hedged =
+    match r.phase with
+    | Finished outcome when not !seen ->
+        seen := true;
+        take ~hedged outcome
+    | _ -> false
   in
-  let _primary = Thread.create (fun () -> race w1 ~hedged:false) () in
-  let _hedge =
-    Thread.create
-      (fun () ->
-        let deadline = Unix.gettimeofday () +. (delay_ms /. 1000.) in
-        let decided = ref false in
-        let fire = ref false in
-        while not !decided do
-          Mutex.lock m;
-          if !first_ok <> None || !primary_bp || !primary_fatal then
-            decided := true
-          else if !primary_failed then begin
-            (* Primary already lost: fire now as plain failover. *)
-            decided := true;
-            fire := true
-          end
-          else if Unix.gettimeofday () >= deadline then begin
-            decided := true;
-            fire := true;
-            Metrics.incr Metrics.router_hedges
-          end;
-          Mutex.unlock m;
-          if not !decided then
-            sleepf (Float.min 0.005 (Float.max 0.0005 (delay_ms /. 4000.)))
-        done;
-        if !fire then begin
-          if !primary_failed then Metrics.incr Metrics.router_failovers;
-          race w2 ~hedged:true
-        end
-        else finish (Error `Abandoned) ~hedged:true)
-      ()
+  let verdicts () =
+    verdict primary seen_primary ~hedged:false
+    || Option.fold ~none:false ~some:(fun h -> verdict h seen_hedge ~hedged:true) !hedge
   in
-  Mutex.lock m;
-  while
-    !first_ok = None
-    && (not !primary_bp)
-    && (not !primary_fatal)
-    && !completed < 2
-  do
-    Condition.wait cv m
-  done;
-  let verdict = !first_ok
-  and bp = !backpressure
-  and fatal_exn = !fatal
-  and primary_lost = !primary_failed in
-  Mutex.unlock m;
-  match verdict with
+  let rec race () =
+    if not (verdicts ()) then begin
+      if !hedge = None && (!primary_failed || Unix.gettimeofday () >= deadline)
+      then begin
+        Metrics.incr
+          (if !primary_failed then Metrics.router_failovers else Metrics.router_hedges);
+        hedge := Some (start t w2 req ~pooled:true)
+      end;
+      match List.filter (fun r -> not (finished r)) (primary :: Option.to_list !hedge) with
+      | [] -> ignore (verdicts ()) (* a hedge that finished as it started *)
+      | live ->
+          step t live ~until:(if !hedge = None then deadline else infinity);
+          race ()
+    end
+  in
+  race ();
+  abandon t primary;
+  Option.iter (abandon t) !hedge;
+  match !first_ok with
   | Some (reply, hedged) ->
-      if hedged && not primary_lost then
+      if hedged && not !primary_failed then
         Metrics.incr Metrics.router_hedge_wins;
       Some reply
   | None -> (
-      match bp with
-      | Some _ -> bp
-      | None -> Option.map (fatal_reply job) fatal_exn)
+      match !backpressure with
+      | Some _ as bp -> bp
+      | None -> Option.map (fatal_reply job) !fatal)
 
 let no_worker_reply (job : Protocol.job) =
   (* Every candidate failed: a structured error, so one dead fleet never
@@ -583,17 +759,22 @@ let stats_json t =
       (Array.mapi
          (fun w (worker : worker) ->
            let view = breaker_state t w in
-           let failures, streak =
+           let failures, streak, idle, reuses, connects =
              with_lock t (fun () ->
-                 (t.workers.(w).failures, t.workers.(w).streak))
+                 let w = t.workers.(w) in
+                 (w.failures, w.streak, List.length w.idle, w.reuses, w.connects))
            in
+           let inum i = Json.Num (float_of_int i) in
            let base =
              [
                ("addr", Json.Str (Transport.to_string worker.addr));
                ("alive", Json.Bool (view = `Closed));
                ("breaker", Json.Str (breaker_label view));
-               ("failures", Json.Num (float_of_int failures));
-               ("opens_streak", Json.Num (float_of_int streak));
+               ("failures", inum failures);
+               ("opens_streak", inum streak);
+               ( "pool",
+                 Json.Obj
+                   [ ("idle", inum idle); ("reuses", inum reuses); ("connects", inum connects) ] );
              ]
            in
            match try_worker t w Protocol.Stats with

@@ -19,17 +19,30 @@
     outage.  Transitions count in [router.breaker_open] /
     [router.breaker_half_open] / [router.breaker_close].
 
+    {b Kept connections.}  Forwards take a connection from the worker's
+    idle list (opening one when it is empty) and return it once the
+    reply is read, so a cache hit costs one exchange and no connect.  A
+    failure on a reused connection before any reply byte arrives is
+    retried once on a fresh connection, counting neither a breaker
+    failure nor a failover.  A worker's idle connections are closed when
+    its breaker opens.  Hello probes and [Stats] use connections of
+    their own.  Counted in [router.pool_reuses] /
+    [router.pool_connects].
+
     {b Hedged requests.}  When the key's owner has not answered after a
     delay derived from recent forward latencies (the configured
     percentile, clamped into [[after_ms_min, after_ms_max]]), the job is
-    re-issued to the next ring candidate and the first reply wins; the
-    loser is abandoned.  Workers are deterministic and idempotent, so a
-    duplicated job can only waste time, never change bytes.  Hedges and
-    hedge wins count in [router.hedges] / [router.hedge_wins].
+    re-issued to the next ring candidate and the first reply wins.  The
+    race runs on the calling thread, one [Unix.select] over the two
+    connections; the loser's connection is closed, never pooled.
+    Workers are deterministic and idempotent, so a duplicated job can
+    only waste time, never change bytes.  Hedges and hedge wins count in
+    [router.hedges] / [router.hedge_wins].
 
-    The router holds no job state and never parses a netlist; it relays
-    replies byte-for-byte, so an answer through the router is identical
-    to one straight from the worker. *)
+    The router holds no job state and never parses a netlist.  It
+    decodes each reply and encodes it again; printer output re-prints
+    as the same bytes, so an answer through the router is identical to
+    one straight from the worker. *)
 
 type t
 
@@ -72,13 +85,15 @@ val create :
     worker).  [breaker] tunes the per-worker circuit breakers; [hedge]
     configures request hedging (default {!default_hedge}; pass [None] to
     disable).  @raise Invalid_argument on an empty worker list,
-    [replicas < 1] or [threshold < 1]. *)
+    [replicas < 1] or [threshold < 1].  Sets [SIGPIPE] to ignored, so a
+    write on a kept connection to a dead worker fails with [EPIPE]. *)
 
 val workers : t -> Transport.address list
 
 val job_key : Protocol.job -> string
-(** The routing key: MD5 hex over the job's value-relevant spelling.
-    Deterministic and cheap — no parsing, no canonicalisation. *)
+(** The routing key: {!Protocol.spelling_key}, MD5 hex over the job's
+    value-relevant spelling.  Deterministic and cheap — no parsing, no
+    canonicalisation. *)
 
 val owner : t -> string -> Transport.address
 (** The worker a key hashes to (ignoring health). *)
@@ -125,7 +140,8 @@ val probe_jitter : salt:int -> int -> float
 val stats_json : t -> Symref_obs.Json.t
 (** Fleet-wide stats: ring and hedge parameters plus, per worker, its
     address, breaker state (and the derived [alive] flag: breaker
-    closed), consecutive-failure count and — when reachable — its own
+    closed), consecutive-failure count, connection [pool] ([idle] now,
+    [reuses] and [connects] so far) and — when reachable — its own
     stats reply. *)
 
 (** {1 Front-end server}

@@ -2,9 +2,11 @@
 
    A worker runs [run_job] from start to finish: read, parse, canonicalise,
    resolve the drive and the probe, look the canonical key up in the cache,
-   compute on a miss, store the rendered payload.  Every expected failure is
-   mapped to a structured reply here, so neither the daemon loop nor the
-   batch sweep ever sees an exception from a job. *)
+   compute on a miss, store the rendered payload.  A repeat of an inline
+   job's exact spelling short-cuts all of that through the cache's alias
+   table.  Every expected failure is mapped to a structured reply here, so
+   neither the daemon loop nor the batch sweep ever sees an exception from
+   a job. *)
 
 module N = Symref_circuit.Netlist
 module Element = Symref_circuit.Element
@@ -392,6 +394,86 @@ let simplify_payload (job : Protocol.job) ~input_desc ~output_desc
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* A stored payload, replayed verbatim: bit-identical to the reply that
+   first produced it. *)
+let replay ~id stored =
+  Metrics.incr Metrics.serve_jobs_completed;
+  Protocol.ok ~id ~cached:true (Json.parse stored)
+
+(* The canonical path: parse, canonicalise, look the content key up in the
+   LRU and then on disk, compute on a miss.  Only a job that gets this far
+   without raising records [alias] for its key, so an error is never
+   memoised. *)
+let run_canonical t ~check ~alias (job : Protocol.job) =
+  let id = job.Protocol.id in
+  let source =
+    match job.Protocol.netlist with
+    | `Text s -> s
+    | `Path p -> read_file p
+  in
+  let circuit = Parser.parse_string source in
+  let circuit = Transform.inductors_to_gyrators circuit in
+  let circuit, input, output, input_desc, output_desc =
+    resolve_io circuit ~input:job.Protocol.input ~output:job.Protocol.output
+  in
+  let canonical = Writer.to_string circuit in
+  let key = cache_key ~canonical job ~input_desc ~output_desc in
+  let remember () =
+    Option.iter (fun alias -> Cache.alias t.cache ~alias ~key) alias
+  in
+  match Cache.find t.cache ~key with
+  | Some stored ->
+      remember ();
+      replay ~id stored
+  | None -> (
+      (* Layered lookup: the persistent on-disk cache sits under the LRU,
+         so a hit survives restarts and is shared across the fleet's
+         processes. *)
+      let disk_hit =
+        match t.disk with
+        | None -> None
+        | Some d -> Disk_cache.find d ~key
+      in
+      match disk_hit with
+      | Some stored ->
+          Cache.add t.cache ~key stored;
+          remember ();
+          replay ~id stored
+      | None ->
+          let body =
+            match job.Protocol.analysis with
+            | Protocol.Simplify
+                { budget_db; budget_deg; from_hz; to_hz; per_decade } ->
+                (* The pipeline generates its own references (full and
+                   pruned circuit) and verifies over the request's grid. *)
+                let freqs = Grid.decades ~start:from_hz ~stop:to_hz ~per_decade in
+                let budget = Budget.v ~db:budget_db ~deg:budget_deg () in
+                let config =
+                  {
+                    Pipeline.default_config with
+                    Pipeline.sigma = job.Protocol.sigma;
+                    r = job.Protocol.r;
+                  }
+                in
+                let result =
+                  Pipeline.run ~config ~check circuit ~input ~output ~budget
+                    ~freqs
+                in
+                simplify_payload job ~input_desc ~output_desc result
+            | _ ->
+                let config =
+                  { Adaptive.default_config with Adaptive.sigma = job.Protocol.sigma; r = job.Protocol.r }
+                in
+                let reference = Reference.generate ~config ~check circuit ~input ~output in
+                payload job ~input_desc ~output_desc reference
+          in
+          let rendered = Json.to_string body in
+          Cache.add t.cache ~key rendered;
+          remember ();
+          Option.iter (fun d -> Disk_cache.store d ~key rendered) t.disk;
+          Metrics.incr Metrics.serve_jobs_completed;
+          Protocol.ok ~id body)
+
 let run_job t ?deadline (job : Protocol.job) =
   let id = job.Protocol.id in
   let check () =
@@ -405,70 +487,18 @@ let run_job t ?deadline (job : Protocol.job) =
   in
   try
     check ();
-    let source =
+    (* The spelling memo: a [`Text] job whose exact spelling was answered
+       before maps straight to its canonical key, so a repeat skips parse,
+       transform, [resolve_io] and canonicalisation.  A [`Path] job is
+       never memoised: the file behind the path may change. *)
+    let alias =
       match job.Protocol.netlist with
-      | `Text s -> s
-      | `Path p -> read_file p
+      | `Text _ -> Some (Protocol.spelling_key job)
+      | `Path _ -> None
     in
-    let circuit = Parser.parse_string source in
-    let circuit = Transform.inductors_to_gyrators circuit in
-    let circuit, input, output, input_desc, output_desc =
-      resolve_io circuit ~input:job.Protocol.input ~output:job.Protocol.output
-    in
-    let canonical = Writer.to_string circuit in
-    let key = cache_key ~canonical job ~input_desc ~output_desc in
-    match Cache.find t.cache ~key with
-    | Some stored ->
-        Metrics.incr Metrics.serve_jobs_completed;
-        Protocol.ok ~id ~cached:true (Json.parse stored)
-    | None -> (
-        (* Layered lookup: the persistent on-disk cache sits under the LRU,
-           so a hit survives restarts and is shared across the fleet's
-           processes.  The stored string is replayed verbatim either way —
-           bit-identical to the reply that first produced it. *)
-        let disk_hit =
-          match t.disk with
-          | None -> None
-          | Some d -> Disk_cache.find d ~key
-        in
-        match disk_hit with
-        | Some stored ->
-            Cache.add t.cache ~key stored;
-            Metrics.incr Metrics.serve_jobs_completed;
-            Protocol.ok ~id ~cached:true (Json.parse stored)
-        | None ->
-            let body =
-              match job.Protocol.analysis with
-              | Protocol.Simplify
-                  { budget_db; budget_deg; from_hz; to_hz; per_decade } ->
-                  (* The pipeline generates its own references (full and
-                     pruned circuit) and verifies over the request's grid. *)
-                  let freqs = Grid.decades ~start:from_hz ~stop:to_hz ~per_decade in
-                  let budget = Budget.v ~db:budget_db ~deg:budget_deg () in
-                  let config =
-                    {
-                      Pipeline.default_config with
-                      Pipeline.sigma = job.Protocol.sigma;
-                      r = job.Protocol.r;
-                    }
-                  in
-                  let result =
-                    Pipeline.run ~config ~check circuit ~input ~output ~budget
-                      ~freqs
-                  in
-                  simplify_payload job ~input_desc ~output_desc result
-              | _ ->
-                  let config =
-                    { Adaptive.default_config with Adaptive.sigma = job.Protocol.sigma; r = job.Protocol.r }
-                  in
-                  let reference = Reference.generate ~config ~check circuit ~input ~output in
-                  payload job ~input_desc ~output_desc reference
-            in
-            let rendered = Json.to_string body in
-            Cache.add t.cache ~key rendered;
-            Option.iter (fun d -> Disk_cache.store d ~key rendered) t.disk;
-            Metrics.incr Metrics.serve_jobs_completed;
-            Protocol.ok ~id body)
+    match Option.bind alias (fun alias -> Cache.find_alias t.cache ~alias) with
+    | Some stored -> replay ~id stored
+    | None -> run_canonical t ~check ~alias job
   with
   | Deadline_exceeded ->
       Metrics.incr Metrics.serve_jobs_timeout;

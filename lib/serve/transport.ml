@@ -43,6 +43,25 @@ let connect addr =
      raise e);
   fd
 
+let connect_start addr =
+  let fd = Unix.socket (socket_domain addr) Unix.SOCK_STREAM 0 in
+  match
+    Unix.set_nonblock fd;
+    Unix.connect fd (sockaddr addr)
+  with
+  | () ->
+      Unix.clear_nonblock fd;
+      (fd, true)
+  | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (fd, false)
+  | exception e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      raise e
+
+let connect_finish fd =
+  match Unix.getsockopt_error fd with
+  | Some e -> raise (Unix.Unix_error (e, "connect", ""))
+  | None -> Unix.clear_nonblock fd
+
 let listen ?(backlog = 16) ?socket_mode addr =
   match addr with
   | Unix_sock path ->

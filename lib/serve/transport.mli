@@ -25,6 +25,19 @@ val connect : address -> Unix.file_descr
 (** Open a stream connection; the descriptor is closed again if the
     connect itself fails.  @raise Unix.Unix_error on failure. *)
 
+val connect_start : address -> Unix.file_descr * bool
+(** Begin a connect without blocking.  [true]: the connection is
+    established and the descriptor is in blocking mode.  [false]: the
+    connect is in flight; wait until the descriptor is writable, then call
+    {!connect_finish}.  @raise Unix.Unix_error when the connect fails at
+    once (the descriptor is closed); a Unix socket whose listen queue is
+    full fails with [EAGAIN] here instead of waiting. *)
+
+val connect_finish : Unix.file_descr -> unit
+(** Complete a connect begun by {!connect_start} once the descriptor is
+    writable: switch it to blocking mode.  @raise Unix.Unix_error with the
+    connect's error. *)
+
 val listen : ?backlog:int -> ?socket_mode:int -> address -> Unix.file_descr
 (** Bind and listen.  [backlog] defaults to 16.  A Unix socket first
     unlinks any stale file at the path and applies [socket_mode] (a chmod

@@ -211,6 +211,9 @@ let reference_job ?id ?timeout_ms text =
     timeout_ms;
   }
 
+let rc_text name =
+  Printf.sprintf "%s\nv1 in 0 ac 1\nr1 in out 2k\nc1 out 0 1n\n.end\n" name
+
 let test_service_cache_bit_identity () =
   let s = Service.create () in
   let job = reference_job ~id:"a" (ua741_text ()) in
@@ -282,6 +285,108 @@ let test_service_error_isolation () =
   let ok = Service.run_job s (reference_job (ua741_text ())) in
   Alcotest.(check bool) "service alive after failure" true
     (ok.Protocol.status = Protocol.Ok);
+  Service.shutdown s
+
+(* --- the spelling memo --- *)
+
+let test_cache_alias_budget () =
+  let c = Cache.create ~max_bytes:100 () in
+  Cache.add c ~key:"k1" (String.make 40 'a');
+  Cache.alias c ~alias:"s1" ~key:"k1";
+  Cache.alias c ~alias:"s2" ~key:"absent";
+  Alcotest.(check int) "alias to an absent key ignored" 1 (Cache.aliases c);
+  Alcotest.(check int) "alias charged to its entry" 44 (Cache.bytes c);
+  Alcotest.(check (option string)) "alias resolves"
+    (Some (String.make 40 'a')) (Cache.find_alias c ~alias:"s1");
+  Alcotest.(check (option string)) "unknown alias" None
+    (Cache.find_alias c ~alias:"s2");
+  Alcotest.(check int) "alias miss counts nothing" 0 (Cache.misses c);
+  Cache.add c ~key:"k2" (String.make 60 'b');
+  Alcotest.(check (option string)) "alias evicted with its target" None
+    (Cache.find_alias c ~alias:"s1");
+  Alcotest.(check int) "no aliases left" 0 (Cache.aliases c);
+  Alcotest.(check int) "budget holds the survivor only" 62 (Cache.bytes c)
+
+let test_service_spelling_memo () =
+  let s = Service.create () in
+  let cache = Service.cache s in
+  let text = rc_text "memo" in
+  let job = reference_job ~id:"m" text in
+  let r1 = Service.run_job s job in
+  let misses = Cache.misses cache in
+  let r2 = Service.run_job s job in
+  Alcotest.(check bool) "first computed" false r1.Protocol.cached;
+  Alcotest.(check bool) "repeat cached" true r2.Protocol.cached;
+  Alcotest.(check int) "repeat answered by the memo" 1 (Cache.spelling_hits cache);
+  Alcotest.(check int) "no canonical lookup on a memo hit" misses (Cache.misses cache);
+  Alcotest.(check string) "memo replay byte-identical"
+    (Json.to_string (Protocol.reply_to_json { r1 with Protocol.cached = true }))
+    (Json.to_string (Protocol.reply_to_json r2));
+  (* A different spelling of anything the answer depends on is a different
+     key, and takes the canonical path. *)
+  let key = Protocol.spelling_key job in
+  List.iter
+    (fun (what, variant) ->
+      Alcotest.(check bool) (what ^ " changes the key") true
+        (Protocol.spelling_key variant <> key);
+      ignore (Service.run_job s variant);
+      Alcotest.(check int) (what ^ " misses the memo") 1 (Cache.spelling_hits cache))
+    [
+      ("sigma", { job with Protocol.sigma = 5 });
+      ("output", { job with Protocol.output = Some "in" });
+    ];
+  Alcotest.(check string) "id and timeout stay out of the key" key
+    (Protocol.spelling_key { job with Protocol.id = Some "other"; timeout_ms = Some 5 });
+  (* A parse error is never memoised. *)
+  let broken = reference_job "broken\nr1 in out\n.end\n" in
+  let aliases = Cache.aliases cache in
+  for _ = 1 to 2 do
+    let r = Service.run_job s broken in
+    Alcotest.(check (option string)) "parse error every time" (Some "parse")
+      (Protocol.error_kind r)
+  done;
+  Alcotest.(check int) "no alias for a failed job" aliases (Cache.aliases cache);
+  Service.shutdown s
+
+let test_service_memo_path_and_eviction () =
+  (* A [`Path] job is never memoised: the file may change under it. *)
+  let dir = temp_dir "symref-memo" in
+  let file = Filename.concat dir "net.cir" in
+  let write text = Out_channel.with_open_bin file (fun oc -> output_string oc text) in
+  let s = Service.create () in
+  let path_job = { Protocol.default_job with Protocol.netlist = `Path file } in
+  let body r = Json.to_string r.Protocol.body in
+  write (rc_text "before");
+  let before = Service.run_job s path_job in
+  write "after\nv1 in 0 ac 1\nr1 in out 5k\nc1 out 0 3n\n.end\n";
+  let after = Service.run_job s path_job in
+  Alcotest.(check bool) "changed file answered" true (after.Protocol.status = Protocol.Ok);
+  Alcotest.(check bool) "changed file gets the new answer" true (body before <> body after);
+  Alcotest.(check int) "path jobs never hit the memo" 0
+    (Cache.spelling_hits (Service.cache s));
+  Alcotest.(check int) "path jobs record no alias" 0 (Cache.aliases (Service.cache s));
+  Service.shutdown s;
+  Sys.remove file;
+  rm_rf dir;
+  (* An evicted target takes its alias with it: the repeat is recomputed,
+     byte for byte.  The budget holds one entry (with its alias) only. *)
+  let a = reference_job (rc_text "evict_a") and b = reference_job (rc_text "evict_b") in
+  let size job =
+    let probe = Service.create () in
+    ignore (Service.run_job probe job);
+    let n = Cache.bytes (Service.cache probe) in
+    Service.shutdown probe;
+    n
+  in
+  let cache_bytes = Int.max (size a) (size b) + 8 in
+  let s = Service.create ~config:{ Service.default_config with Service.cache_bytes } () in
+  let first = Service.run_job s a in
+  ignore (Service.run_job s b);
+  let again = Service.run_job s a in
+  Alcotest.(check bool) "evicted target recomputed" false again.Protocol.cached;
+  Alcotest.(check string) "recomputed bytes identical" (body first) (body again);
+  Alcotest.(check int) "no memo hit after eviction" 0
+    (Cache.spelling_hits (Service.cache s));
   Service.shutdown s
 
 (* --- batch --- *)
@@ -705,9 +810,6 @@ let test_probe_jitter () =
   Alcotest.(check bool) "jitter varies across probes" true
     (List.exists (fun j -> Float.abs (j -. List.hd all) > 1e-6) all)
 
-let rc_text name =
-  Printf.sprintf "%s\nv1 in 0 ac 1\nr1 in out 2k\nc1 out 0 1n\n.end\n" name
-
 let norm_reply r =
   Json.to_string (Protocol.reply_to_json { r with Protocol.cached = false })
 
@@ -1103,6 +1205,178 @@ let test_breaker_untried_candidate_stays_open () =
   Thread.join th;
   rm_rf dir
 
+(* --- pooled forwards --- *)
+
+let start_daemon addr =
+  let d = Serve.Daemon.create ~listen:[ addr ] () in
+  (d, Thread.create Serve.Daemon.serve d)
+
+let stop_daemon (d, th) =
+  Serve.Daemon.request_stop d;
+  Thread.join th
+
+(* A job whose ring walk starts at worker [w]. *)
+let job_owned_by router w prefix =
+  let rec find i =
+    if i > 500 then Alcotest.fail "no job found for owner"
+    else
+      let job =
+        reference_job ~id:(Printf.sprintf "%s%d" prefix i)
+          (rc_text (Printf.sprintf "%s%d" prefix i))
+      in
+      if List.hd (Serve.Router.route router (Serve.Router.job_key job)) = w then job
+      else find (i + 1)
+  in
+  find 0
+
+let with_metrics f =
+  Metrics.reset ();
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.reset ())
+    f
+
+let test_pool_reuse () =
+  let dir = temp_dir "symref-pool" in
+  let addr = Serve.Transport.Unix_sock (Filename.concat dir "w.sock") in
+  let daemon = start_daemon addr in
+  with_metrics (fun () ->
+      let router = Serve.Router.create ~hedge:None [ addr ] in
+      for i = 1 to 5 do
+        let r =
+          Serve.Router.forward router
+            (reference_job ~id:(string_of_int i) (rc_text (Printf.sprintf "pool%d" (i mod 2))))
+        in
+        Alcotest.(check bool) "forward ok" true (r.Protocol.status = Protocol.Ok)
+      done;
+      let snap = Snapshot.capture () in
+      Alcotest.(check int) "five forwards, one connect" 1 snap.Snapshot.router_pool_connects;
+      Alcotest.(check int) "the rest on the kept connection" 4
+        snap.Snapshot.router_pool_reuses;
+      (* The stats reply shows the pool (always on) and the worker's memo. *)
+      match Json.member "workers" (Serve.Router.stats_json router) with
+      | Some (Json.Arr [ w ]) ->
+          let num path =
+            List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some w) path
+            |> Option.map Json.to_int
+          in
+          Alcotest.(check (option int)) "stats: connects" (Some 1) (num [ "pool"; "connects" ]);
+          Alcotest.(check (option int)) "stats: reuses" (Some 4) (num [ "pool"; "reuses" ]);
+          Alcotest.(check (option int)) "stats: idle" (Some 1) (num [ "pool"; "idle" ]);
+          Alcotest.(check (option int)) "stats: worker memo hits" (Some 3)
+            (num [ "stats"; "cache"; "spelling_hits" ])
+      | _ -> Alcotest.fail "router stats list the worker");
+  stop_daemon daemon;
+  rm_rf dir
+
+let test_pool_survives_restart () =
+  (* A worker restarted on the same socket leaves a dead kept connection in
+     the pool.  The next forward retries it once on a fresh connection:
+     served, no breaker failure, no failover. *)
+  let dir = temp_dir "symref-restart" in
+  let addr i = Serve.Transport.Unix_sock (Filename.concat dir (Printf.sprintf "w%d.sock" i)) in
+  let d0 = start_daemon (addr 0) and d1 = start_daemon (addr 1) in
+  with_metrics (fun () ->
+      let breaker = { Serve.Router.threshold = 1; cooldown_ms = 10_000.; max_cooldown_ms = 10_000. } in
+      (* No backoff retries: only the stale-connection rule can save the
+         forward. *)
+      let backoff = { Serve.Client.default_backoff with Serve.Client.attempts = 1 } in
+      let router = Serve.Router.create ~backoff ~breaker ~hedge:None [ addr 0; addr 1 ] in
+      let job = job_owned_by router 0 "restart" in
+      let first = Serve.Router.forward router job in
+      Alcotest.(check bool) "first forward ok" true (first.Protocol.status = Protocol.Ok);
+      stop_daemon d0;
+      let d0' = start_daemon (addr 0) in
+      let r = Serve.Router.forward router job in
+      Alcotest.(check bool) "served after the restart" true (r.Protocol.status = Protocol.Ok);
+      Alcotest.(check string) "same bytes" (norm_reply first) (norm_reply r);
+      Alcotest.(check bool) "breaker still closed" true
+        (Serve.Router.breaker_state router 0 = `Closed);
+      let snap = Snapshot.capture () in
+      Alcotest.(check int) "no breaker opened" 0 snap.Snapshot.router_breaker_opens;
+      Alcotest.(check int) "no failover" 0 snap.Snapshot.router_failovers;
+      Alcotest.(check int) "stale connection replaced once" 2
+        snap.Snapshot.router_pool_connects;
+      stop_daemon d0');
+  stop_daemon d1;
+  rm_rf dir
+
+(* A worker that greets, then sits on every request for [delay] before
+   answering it with a reply echoing the request's id. *)
+let tarpit addr ~delay =
+  let listener = Serve.Transport.listen addr in
+  let stop = ref false in
+  let serve_conn fd =
+    let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+    (try
+       output_string oc (Json.to_string (Protocol.hello_banner ()) ^ "\n");
+       flush oc;
+       while true do
+         let id =
+           match Protocol.request_of_json (Json.parse (input_line ic)) with
+           | Protocol.Submit job -> job.Protocol.id
+           | _ -> None
+         in
+         Unix.sleepf delay;
+         let reply = Protocol.ok ~id (Json.Obj [ ("tarpit", Json.Bool true) ]) in
+         output_string oc (Json.to_string (Protocol.reply_to_json reply) ^ "\n");
+         flush oc
+       done
+     with _ -> ());
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  in
+  let acceptor =
+    Thread.create
+      (fun () ->
+        while not !stop do
+          match Unix.select [ listener ] [] [] 0.05 with
+          | _ :: _, _, _ -> (
+              match Unix.accept listener with
+              | fd, _ -> ignore (Thread.create serve_conn fd)
+              | exception Unix.Unix_error _ -> ())
+          | _ -> ()
+          | exception Unix.Unix_error _ -> ()
+        done)
+      ()
+  in
+  fun () ->
+    stop := true;
+    Thread.join acceptor;
+    Serve.Transport.close_listener addr listener
+
+let test_hedge_loser_never_pooled () =
+  let dir = temp_dir "symref-tarpit" in
+  let addr i = Serve.Transport.Unix_sock (Filename.concat dir (Printf.sprintf "w%d.sock" i)) in
+  let stop_tarpit = tarpit (addr 0) ~delay:0.25 in
+  let daemon = start_daemon (addr 1) in
+  with_metrics (fun () ->
+      let router =
+        Serve.Router.create
+          ~hedge:(Some { Serve.Router.default_hedge with after_ms_min = 0.; after_ms_max = 0. })
+          [ addr 0; addr 1 ]
+      in
+      (* Every job is owned by the tarpit, so each loses its race to the
+         zero-delay hedge while the tarpit still owes it a reply.  The pause
+         lets that late reply arrive: were the loser's connection pooled,
+         the next forward would read it at once as its own. *)
+      for i = 0 to 4 do
+        if i > 0 then Unix.sleepf 0.3;
+        let job = job_owned_by router 0 (Printf.sprintf "tarpit%d_" i) in
+        let r = Serve.Router.forward router job in
+        Alcotest.(check bool) "hedge answers" true (r.Protocol.status = Protocol.Ok);
+        Alcotest.(check (option string)) "reply id is the request's" job.Protocol.id
+          r.Protocol.reply_id;
+        Alcotest.(check bool) "the hedge's answer, not the tarpit's" true
+          (Json.member "tarpit" r.Protocol.body = None)
+      done;
+      let snap = Snapshot.capture () in
+      Alcotest.(check int) "every race won by the hedge" 5 snap.Snapshot.router_hedge_wins);
+  stop_daemon daemon;
+  stop_tarpit ();
+  rm_rf dir
+
 let test_scheduler_sweeper_eviction () =
   (* Every running slot is pinned and no further submission arrives: the
      background sweeper alone must evict the expired queued job, or the
@@ -1214,6 +1488,18 @@ let suite =
           `Quick test_hedged_fatal_no_hang;
         Alcotest.test_case "router: untried candidate keeps its Open breaker"
           `Quick test_breaker_untried_candidate_stays_open;
+        Alcotest.test_case "cache: alias charged to and dropped with its entry"
+          `Quick test_cache_alias_budget;
+        Alcotest.test_case "service: spelling memo hit, keys and errors" `Quick
+          test_service_spelling_memo;
+        Alcotest.test_case "service: path jobs and evicted targets recompute"
+          `Quick test_service_memo_path_and_eviction;
+        Alcotest.test_case "router: forwards reuse one kept connection" `Quick
+          test_pool_reuse;
+        Alcotest.test_case "router: kept connection survives a restart" `Quick
+          test_pool_survives_restart;
+        Alcotest.test_case "router: hedge loser's reply never leaks" `Quick
+          test_hedge_loser_never_pooled;
         Alcotest.test_case "scheduler: sweeper evicts with all slots pinned"
           `Quick test_scheduler_sweeper_eviction;
         Alcotest.test_case "supervisor: crash budget restarts then gives up"
