@@ -55,8 +55,8 @@ let pool =
 
 let max_workers = Int.max 0 (Domain.recommended_domain_count () - 1)
 
-(* The dense per-domain index of the fused-kernel workspace pools, assigned
-   on first use.  Re-exported here because consumers think of it as "which
+(* The dense per-domain index of the batch workspace pools, assigned on
+   first use.  Re-exported here because consumers think of it as "which
    pool worker am I"; it lives in [Symref_linalg.Kernel] so the matrix layer
    (which cannot see this module) can key workspaces off it. *)
 let worker_index = Symref_linalg.Kernel.domain_index
@@ -67,7 +67,7 @@ let spin_budget = 20_000
 
 let worker_loop () =
   (* Claim a workspace index up front: long-lived pool workers get the low,
-     densely pooled indices before any transient [`Spawn] domain can. *)
+     densely pooled indices before any other domain can. *)
   ignore (worker_index ());
   let rec next () =
     let rec spin budget =

@@ -84,8 +84,7 @@ let idft_extended_half ~k half =
   end
 
 let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
-    ?(base = 0) ?(domains = 1) ?(domain_strategy = `Pool) (ev : Evaluator.t)
-    ~(scale : Scaling.pair) ~k =
+    ?(base = 0) ?(domains = 1) (ev : Evaluator.t) ~(scale : Scaling.pair) ~k =
   if k < 1 then invalid_arg "Interp.run: k must be >= 1";
   if base < 0 then invalid_arg "Interp.run: base must be >= 0";
   if domains < 1 then invalid_arg "Interp.run: domains must be >= 1";
@@ -96,7 +95,6 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
         ("base", string_of_int base);
         ("domains", string_of_int domains);
         ("evaluator", ev.Evaluator.name);
-        ("kernel", string_of_bool ev.Evaluator.kernel);
       ]
     "interp.batch"
   @@ fun () ->
@@ -118,6 +116,17 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
   let singular_retries = Atomic.make 0
   and nonfinite_retries = Atomic.make 0
   and retry_giveups = Atomic.make 0 in
+  let f = scale.Scaling.f and g = scale.Scaling.g in
+  let eval_at s = ev.Evaluator.eval ~f ~g s in
+  (* Every point set below is known before any of it is evaluated, so it is
+     handed to the evaluator's prefetch first — the batched engine then
+     computes the whole set in one elimination-program replay and the
+     per-point [eval] calls hit its memo.  The prefetched values are
+     exactly the points evaluated next, so the memo keys match bit for
+     bit. *)
+  let prefetch points =
+    match ev.Evaluator.prefetch with None -> () | Some pf -> pf ~f ~g points
+  in
   (* A guarded evaluator's zero value may mean a failed factorisation
      (singular matrix at that point — possibly injected), and a non-finite
      one arithmetic contamination.  Either way the point itself carries no
@@ -138,114 +147,115 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
       if Float.is_finite c.Complex.re && Float.is_finite c.Complex.im then `Ok
       else `Nonfinite
   in
-  (* Pure per-point evaluation: (collected value, pre-deflation magnitude).
-     Purity is what lets the points fan out across domains bit-identically —
-     every point computes the same value whichever domain runs it, and the
-     ceiling is an order-independent maximum. *)
-  let value_at j =
-    let s0 = Uc.point k j in
-    let eval_at s = ev.Evaluator.eval ~f:scale.Scaling.f ~g:scale.Scaling.g s in
-    let count_retry = function
-      | `Singular ->
-          Atomic.incr singular_retries;
-          Obs.incr Obs.guard_singular_retries
-      | `Nonfinite ->
-          Atomic.incr nonfinite_retries;
-          Obs.incr Obs.guard_nonfinite_retries
-    in
-    (* [last] is the best value seen so far: a one-sided perturbed value
-       when only half a pair succeeded, else whatever the failed evaluation
-       returned — a give-up keeps it rather than inventing anything. *)
-    let rec recover last attempt cls =
-      if attempt >= max_point_retries then begin
-        Atomic.incr retry_giveups;
-        Obs.incr Obs.guard_retry_giveups;
-        last
-      end
+  let count_retry = function
+    | `Singular ->
+        Atomic.incr singular_retries;
+        Obs.incr Obs.guard_singular_retries
+    | `Nonfinite ->
+        Atomic.incr nonfinite_retries;
+        Obs.incr Obs.guard_nonfinite_retries
+  in
+  (* Recover the failed entries of [raw] (values at the points [s0]) one
+     attempt level at a time: every still-failed point's rotated pair for
+     this attempt is one point set.  [pending] holds (index, last, class):
+     [last] is the best value seen so far — a one-sided perturbed value
+     when only half a pair succeeded, else whatever the failed evaluation
+     returned; a give-up keeps it rather than inventing anything. *)
+  let recover s0 raw =
+    let rec level attempt pending =
+      if pending = [] then ()
+      else if attempt >= max_point_retries then
+        List.iter
+          (fun (i, last, _) ->
+            Atomic.incr retry_giveups;
+            Obs.incr Obs.guard_retry_giveups;
+            raw.(i) <- last)
+          pending
       else begin
-        count_retry cls;
         let delta = 1e-9 *. (10. ** float_of_int attempt) in
         let rot = { Complex.re = Float.cos delta; im = Float.sin delta } in
-        let vp = eval_at (Complex.mul s0 rot) in
-        let vm = eval_at (Complex.mul s0 (Complex.conj rot)) in
-        match (classify vp, classify vm) with
-        | `Ok, `Ok ->
-            Ec.mul_complex (Ec.add vp vm) { Complex.re = 0.5; im = 0. }
-        | `Ok, ((`Singular | `Nonfinite) as bad) -> recover vp (attempt + 1) bad
-        | ((`Singular | `Nonfinite) as bad), `Ok -> recover vm (attempt + 1) bad
-        | ((`Singular | `Nonfinite) as bad), _ -> recover last (attempt + 1) bad
+        let pairs =
+          List.map
+            (fun (i, last, cls) ->
+              count_retry cls;
+              (i, last, Complex.mul s0.(i) rot, Complex.mul s0.(i) (Complex.conj rot)))
+            pending
+        in
+        prefetch (Array.of_list (List.concat_map (fun (_, _, sp, sm) -> [ sp; sm ]) pairs));
+        let next =
+          List.filter_map
+            (fun (i, last, sp, sm) ->
+              let vp = eval_at sp in
+              let vm = eval_at sm in
+              match (classify vp, classify vm) with
+              | `Ok, `Ok ->
+                  raw.(i) <- Ec.mul_complex (Ec.add vp vm) { Complex.re = 0.5; im = 0. };
+                  None
+              | `Ok, ((`Singular | `Nonfinite) as bad) -> Some (i, vp, bad)
+              | ((`Singular | `Nonfinite) as bad), `Ok -> Some (i, vm, bad)
+              | ((`Singular | `Nonfinite) as bad), _ -> Some (i, last, bad))
+            pairs
+        in
+        level (attempt + 1) next
       end
     in
-    let raw0 = eval_at s0 in
-    let raw =
-      match classify raw0 with
-      | `Ok -> raw0
-      | (`Singular | `Nonfinite) when not ev.Evaluator.guarded ->
-          (* A synthetic polynomial's zero is a true value, never a failed
-             factorisation: collect it as-is. *)
-          raw0
-      | (`Singular | `Nonfinite) as cls -> recover raw0 0 cls
-    in
-    let mag = Ec.norm raw in
-    let deflated =
-      match deflation with
-      | None -> raw
-      | Some poly -> Ec.sub raw (Epoly.eval poly (Ec.of_complex s0))
-    in
-    let v =
-      if base = 0 then deflated
-      else
-        (* Divide by s^base: multiply by the conjugate root w^(-j*base).
-           A recovered value approximates P at the nominal point, so the
-           nominal root is the right divisor. *)
-        Ec.mul_complex deflated (Uc.point k (-j * base))
-    in
-    (v, mag)
+    level 0
+      (List.filter_map
+         (fun i ->
+           match classify raw.(i) with
+           | `Ok -> None
+           | (`Singular | `Nonfinite) as cls -> Some (i, raw.(i), cls))
+         (List.init (Array.length raw) Fun.id))
+  in
+  (* The (collected value, pre-deflation magnitude) of the contiguous index
+     range [lo, hi): the range's unit-circle points as one point set, then
+     its guard-retry levels.  Every point's value depends only on the point,
+     which is what lets ranges fan out across domains bit-identically — and
+     the ceiling is an order-independent maximum. *)
+  let eval_range results lo hi =
+    let s0 = Array.init (hi - lo) (fun i -> Uc.point k (lo + i)) in
+    prefetch s0;
+    let raw = Array.map eval_at s0 in
+    (* A synthetic polynomial's zero is a true value, never a failed
+       factorisation: only a guarded evaluator's failures are recovered. *)
+    if ev.Evaluator.guarded then recover s0 raw;
+    Array.iteri
+      (fun i raw ->
+        let j = lo + i in
+        let mag = Ec.norm raw in
+        let deflated =
+          match deflation with
+          | None -> raw
+          | Some poly -> Ec.sub raw (Epoly.eval poly (Ec.of_complex s0.(i)))
+        in
+        let v =
+          if base = 0 then deflated
+          else
+            (* Divide by s^base: multiply by the conjugate root w^(-j*base).
+               A recovered value approximates P at the nominal point, so the
+               nominal root is the right divisor. *)
+            Ec.mul_complex deflated (Uc.point k (-j * base))
+        in
+        results.(j) <- (v, mag))
+      raw
   in
   (* The unit-circle points are embarrassingly parallel; [domains = 1]
-     (the default) stays on the calling domain.  Work is split into [d]
-     index-ordered chunks whichever strategy runs them, so results are
-     bit-identical to the sequential path.  [`Pool] (default) reuses the
-     persistent {!Domain_pool} workers across passes; [`Spawn] pays a fresh
-     [Domain.spawn] per pass and exists as the benchmark baseline that
-     motivated the pool. *)
-  (* Warm the evaluator's memo for a contiguous index range through the
-     batched kernel before the per-point loop: the exact [Uc.point] values
-     the loop evaluates, so the memo keys match bit-for-bit.  Guard-retry
-     points are perturbed off the circle and stay on the per-point path. *)
-  let prefetch_range lo hi =
-    match ev.Evaluator.prefetch with
-    | None -> ()
-    | Some pf ->
-        pf ~f:scale.Scaling.f ~g:scale.Scaling.g
-          (Array.init (hi - lo) (fun i -> Uc.point k (lo + i)))
-  in
+     (the default) stays on the calling domain.  Otherwise the persistent
+     {!Domain_pool} workers each take one of [d] index-ordered ranges, so
+     results are bit-identical to the sequential path. *)
   let eval_many count =
-    if domains <= 1 || count <= 1 then begin
-      prefetch_range 0 count;
-      Array.init count value_at
-    end
+    let results = Array.make count (Ec.zero, Ef.zero) in
+    if domains <= 1 || count <= 1 then eval_range results 0 count
     else begin
       let d = Int.min domains count in
-      let results = Array.make count (Ec.zero, Ef.zero) in
       let chunk = (count + d - 1) / d in
-      let worker i () =
-        let lo = i * chunk in
-        prefetch_range lo (Int.min count (lo + chunk));
-        for j = lo to Int.min count (lo + chunk) - 1 do
-          results.(j) <- value_at j
-        done
-      in
-      (match domain_strategy with
-      | `Pool -> Domain_pool.parallel (Array.init d worker)
-      | `Spawn ->
-          let spawned =
-            List.init (d - 1) (fun i -> Domain.spawn (worker (i + 1)))
-          in
-          worker 0 ();
-          List.iter Domain.join spawned);
-      results
-    end
+      Domain_pool.parallel
+        (Array.init d (fun i () ->
+             let lo = i * chunk in
+             let hi = Int.min count (lo + chunk) in
+             if lo < hi then eval_range results lo hi))
+    end;
+    results
   in
   let collect pairs =
     Array.fold_left

@@ -42,7 +42,6 @@ val run :
   ?known:(int * Symref_numeric.Extfloat.t) list ->
   ?base:int ->
   ?domains:int ->
-  ?domain_strategy:[ `Pool | `Spawn ] ->
   Evaluator.t ->
   scale:Scaling.pair ->
   k:int ->
@@ -61,15 +60,16 @@ val run :
     approximate (rather than exact) cancellation of conjugate pairs leaves
     the imaginary round-off residue that {!Naive.garbage_fraction} reads as
     its failure signature.  [domains] (default [1]) fans the
-    independent point evaluations out over that many OCaml domains; results,
-    ceiling and evaluation counts are bit-identical to the sequential run
-    (the evaluator must be thread-safe when [domains > 1], which all
+    independent point evaluations out over that many persistent
+    {!Domain_pool} workers, one index-ordered range each; results, ceiling
+    and evaluation counts are bit-identical to the sequential run (the
+    evaluator must be thread-safe when [domains > 1], which all
     {!Evaluator} constructors are).  The IDFT stays sequential.
-    [domain_strategy] selects how the fan-out runs: [`Pool] (default)
-    reuses the persistent {!Domain_pool} workers across passes; [`Spawn]
-    pays a fresh [Domain.spawn] per pass (the pre-pool behaviour, kept as a
-    benchmark baseline).  Both split the points into the same index-ordered
-    chunks, so the choice never changes results.
+
+    {b Point sets.}  Each range's unit-circle points are handed to the
+    evaluator's [prefetch] (see {!Evaluator.t}) as one set before they are
+    evaluated, and so is each guard-retry level below: the batched engine
+    serves every evaluation of a pass.
 
     {b Singular-point recovery.}  When a {e guarded} evaluator (see
     {!Evaluator.t.guarded}) returns an exactly-zero or non-finite value —
@@ -81,6 +81,9 @@ val run :
     the sigma-digit validity floor of even band-edge coefficients.  Up to
     3 attempts with [delta = 1e-9 * 10^attempt] radians; a half-successful
     pair keeps its one good (first-order accurate) value as the fallback.
+    Attempts run level by level: all of a range's points are evaluated
+    first, then every failed point's attempt-0 pair as one point set, then
+    attempt 1 for the points still failing, then attempt 2.
     Retries are counted in the [guard.*] metrics and the result's
     [singular_retries]/[nonfinite_retries]/[retry_giveups] fields; the
     policy is deterministic, so multi-domain runs stay bit-identical.

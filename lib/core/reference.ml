@@ -19,30 +19,23 @@ type t = {
    in common — the entire first pass, whose scale and point set depend only
    on the problem — costs a single LU factorisation that yields both values.
    [reuse] (default) additionally enables the symbolic/numeric factorisation
-   split inside {!Symref_mna.Nodal.make}.  Both switches change cost only,
-   never values. *)
+   split inside {!Symref_mna.Nodal.make}.  Turned off, they select the
+   per-point full-factorisation oracle the tests compare against. *)
 let generate ?(config = Adaptive.default_config) ?(share = true) ?(reuse = true)
-    ?kernel ?batch ?check circuit ~input ~output =
-  let problem = Nodal.make ~reuse ?kernel circuit ~input ~output in
-  let batch_on =
-    (match batch with Some b -> b | None -> Evaluator.batch_default)
-    && share
-    && Nodal.kernel_enabled problem
-  in
+    ?check circuit ~input ~output =
+  let problem = Nodal.make ~reuse circuit ~input ~output in
   Tr.span ~cat:"reference"
     ~args:
       [
         ("dim", string_of_int (Nodal.dimension problem));
         ("share", string_of_bool share);
         ("reuse", string_of_bool reuse);
-        ("kernel", string_of_bool (Nodal.kernel_enabled problem));
-        ("batch", string_of_bool batch_on);
       ]
     "reference.generate"
   @@ fun () ->
   let ev_num, ev_den =
     if share then
-      let s = Evaluator.of_nodal_shared ?batch problem in
+      let s = Evaluator.of_nodal_shared problem in
       (s.Evaluator.snum, s.Evaluator.sden)
     else
       (Evaluator.of_nodal problem ~num:true, Evaluator.of_nodal problem ~num:false)
@@ -51,7 +44,7 @@ let generate ?(config = Adaptive.default_config) ?(share = true) ?(reuse = true)
      runs the caller's check, which may raise (e.g. a deadline exceeded).
      The evaluators are wrapped here rather than hooking Adaptive so the
      engines stay oblivious to scheduling concerns.  The prefetch hook is
-     wrapped too: a whole-chunk warm-up is many evaluations' worth of work,
+     wrapped too: a whole point set is many evaluations' worth of work,
      so it must observe cancellation at least once. *)
   let ev_num, ev_den =
     match check with
@@ -77,7 +70,7 @@ let generate ?(config = Adaptive.default_config) ?(share = true) ?(reuse = true)
   let num = Tr.span ~cat:"reference" "reference.num" (fun () -> Adaptive.run ~config ev_num) in
   let den = Tr.span ~cat:"reference" "reference.den" (fun () -> Adaptive.run ~config ev_den) in
   (* The kept problem serves later probes ([health]) but no more passes of
-     this size: drop the grown workspace planes with the run. *)
+     this size: drop the grown batch planes with the run. *)
   Nodal.release_pools problem;
   { num; den; input; output; config; problem }
 
@@ -150,10 +143,14 @@ type health = {
 }
 
 let health ?tolerance t =
-  (* Fresh unshared evaluators: the verification probes must not draw from
-     any table the generation populated. *)
-  let vn = Verify.check ?tolerance (Evaluator.of_nodal t.problem ~num:true) t.num in
-  let vd = Verify.check ?tolerance (Evaluator.of_nodal t.problem ~num:false) t.den in
+  (* Fresh tables, one per side: the verification probes must not draw from
+     any table the generation populated, and each side's values come from
+     its own run of the pattern chain — bit for bit what per-point
+     [Evaluator.of_nodal] evaluators give.  The shared evaluators'
+     prefetch lets [Verify.check] batch each scale's probes. *)
+  let fresh () = Evaluator.of_nodal_shared t.problem in
+  let vn = Verify.check ?tolerance (fresh ()).Evaluator.snum t.num in
+  let vd = Verify.check ?tolerance (fresh ()).Evaluator.sden t.den in
   let dn = t.num.Adaptive.diagnosis and dd = t.den.Adaptive.diagnosis in
   let converged = t.num.Adaptive.converged && t.den.Adaptive.converged in
   let verified = vn.Verify.passed && vd.Verify.passed in

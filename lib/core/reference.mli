@@ -21,8 +21,6 @@ val generate :
   ?config:Adaptive.config ->
   ?share:bool ->
   ?reuse:bool ->
-  ?kernel:bool ->
-  ?batch:bool ->
   ?check:(unit -> unit) ->
   Symref_circuit.Netlist.t ->
   input:Symref_mna.Nodal.input ->
@@ -33,16 +31,13 @@ val generate :
     evaluation per point — one factorisation yields both values (eq. 8-10);
     [reuse] (default [true]) enables the symbolic/numeric factorisation
     split, one learned pivot order per circuit carried across scale pairs
-    (see {!Symref_mna.Nodal.make}); [kernel] (default
-    [true] unless [SYMREF_NO_KERNEL] is set) runs replays through the
-    fused unboxed refactor+solve engine on per-domain workspaces
-    ({!Symref_linalg.Kernel}); [batch] (default [true] unless
-    [SYMREF_NO_BATCH] is set, effective only with [share] and the kernel)
-    prefetches each interpolation pass through the batched
-    structure-of-arrays engine — one elimination-program replay per chunk
-    of points instead of one per point
-    ({!Symref_mna.Nodal.eval_batch}).  All are pure cost switches: the
-    returned coefficients are identical either way.
+    (see {!Symref_mna.Nodal.make}).  With both on, every point set of the
+    run — each interpolation pass and each guard-retry level — goes
+    through the batched structure-of-arrays engine in one
+    elimination-program replay ({!Symref_mna.Nodal.eval_batch}).  Both off
+    is the per-point full-factorisation oracle; the coefficients agree to
+    far better than their validity (and [share] alone changes cost only,
+    never values).
     [check] is a cooperative-cancellation hook run before {e every}
     evaluation (one LU decomposition each): raising from it aborts the
     generation with that exception — {!Symref_serve} uses it to enforce
@@ -100,9 +95,12 @@ type health = {
 
 val health : ?tolerance:float -> t -> health
 (** Re-evaluates the circuit at {!Verify}'s off-circle probe points with
-    fresh (unshared, unmemoised) evaluators and combines the residuals with
-    the generation's own diagnosis.  [tolerance] is {!Verify.check}'s
-    (default [1e-4]). *)
+    fresh evaluators — a new {!Evaluator.of_nodal_shared} table per side,
+    so nothing the generation memoised is reused and each scale's probes
+    are one batched point set — and combines the residuals with the
+    generation's own diagnosis.  The probes and residuals are bit for bit
+    those of {!Verify.check} over per-point {!Evaluator.of_nodal}
+    evaluators.  [tolerance] is {!Verify.check}'s (default [1e-4]). *)
 
 val health_to_strings : health -> (string * string) list
 (** Rendered key/value rows, in display order — shared by the [doctor]

@@ -52,8 +52,13 @@ let check ?(tolerance = 1e-4) (ev : Evaluator.t) (result : Adaptive.result) =
     in
     go 0 s0
   in
+  let probe_set = Array.of_list probe_points in
   List.iter
     (fun scale ->
+      (* The scale's probes are one point set: batch them up front. *)
+      Option.iter
+        (fun pf -> pf ~f:scale.Scaling.f ~g:scale.Scaling.g probe_set)
+        ev.Evaluator.prefetch;
       (* Renormalise the full coefficient set to this band's scale. *)
       let normalized =
         Epoly.of_coeffs

@@ -24,4 +24,6 @@ val check :
     (the residual bound for sigma = 6 coefficients with band-edge error).
     The evaluator must be the same network the result came from.  The
     evaluator is restarted first ([ev.restart]), so the probes do not
-    depend on what ran on it before. *)
+    depend on what ran on it before.  Each band's probe points go to the
+    evaluator's [prefetch] as one set before they are evaluated; a probe
+    that fails there moves per point. *)

@@ -5,9 +5,8 @@
    every instruction's float work runs as a fixed-width loop over a tile
    of TILE points (plane index = slot * stride + point, stride a
    multiple of TILE).  GCC vectorises the tile loops; the
-   per-instruction decode cost — the per-point engine's dominant
-   overhead on small programs — is paid once per tile instead of once
-   per point.
+   per-instruction decode cost — a per-point replay's dominant overhead
+   on small programs — is paid once per tile instead of once per point.
 
    Tiling is the cache story: a tile's plane columns are TILE contiguous
    doubles per slot, so the whole elimination's working set per tile is
@@ -18,21 +17,24 @@
    runs it.
 
    Bit-identity contract: each point's float sequence is exactly the
-   per-point fused kernel's (Kernel.run_fused + solve_into in
-   lib/linalg/kernel.ml) — same formulas, same per-point operation
-   order.  Four things make the C translation exact:
+   boxed OCaml chain's (Sparse.refactor, the Extcomplex fold of
+   Sparse.det, Sparse.solve in lib/linalg/sparse.ml) — same formulas,
+   same per-point operation order, with the RHS forward elimination
+   fused into the multiplier step (each row's update sequence is still
+   the solve's lower replay).  Four things make the C translation
+   exact:
 
    - hypot is the same libm entry point the OCaml runtime's
      caml_hypot_float primitive is a thin wrapper for, so those call
      sites return identical bits (and they stay scalar calls: no vector
      math library matches libm bitwise);
-   - frexp_exp below returns exactly what the OCaml cascade returns on
-     every input class (verified exhaustively; see its comment), and
-     scale2 replaces the OCaml side's Float.ldexp with power-of-two
+   - frexp_exp below returns exactly snd (Float.frexp a), the exponent
+     Extcomplex's normalisation takes (see its comment), and scale2
+     replaces the OCaml side's Float.ldexp with power-of-two
      multiplies that are bitwise-equal to ldexp for every exponent
      frexp_exp can produce (argument in scale2's comment) — so the det
      loop needs no libm at all and vectorises;
-   - branches the OCaml engine takes on per-point data (threshold bail,
+   - branches the OCaml code takes on per-point data (threshold bail,
      det-hit-zero, Smith's division) are expressed as elementwise
      selects: each lane keeps exactly the value its branch would have
      computed, and the not-taken side's arithmetic is discarded
@@ -77,15 +79,12 @@ enum {
 #define DPLANE(v, i) ((double *) Caml_ba_data_val(Field((v), (i))))
 #define IPLANE(v, i) ((const int32_t *) Caml_ba_data_val(Field((v), (i))))
 
-/* snd (Float.frexp a) for a >= 0., equal to the OCaml frexp_exp
-   cascade (kernel.ml) on EVERY input class the cascade accepts — the
-   equality is what matters, since the per-point engine is the
-   reference.  Read the biased exponent straight from the bits; for
-   subnormals normalise with one exact *2^54 first.  The cascade's
-   off-the-scale conventions are selects: 0 -> -1535, inf -> 1536,
-   NaN -> 0.  Checked exhaustively over all 2048 exponents (incl.
-   specials) x 4096 mantissas against the cascade: identical.  ~10
-   branch-free ops instead of ~100, and the det loop vectorises. */
+/* snd (Float.frexp a) for finite a > 0.  Read the biased exponent
+   straight from the bits; for subnormals normalise with one exact
+   *2^54 first.  Zero, infinity and NaN get fixed conventions (0 ->
+   -1535, inf -> 1536, NaN -> 0): they reach it only for ejected or
+   det-hit-zero lanes, whose results the selects below discard.
+   Branch-free, so the det loop vectorises. */
 static inline __attribute__((always_inline)) int frexp_exp(double a)
 {
   union { double d; uint64_t u; } ua, ud;
@@ -212,7 +211,7 @@ CAMLprim value symref_batch_run(value raw)
           if (m > rmax[q]) rmax[q] = m;
         }
       }
-      /* The per-point engine's threshold bail, as a sticky mark: the
+      /* Sparse.refactor's threshold bail, as a sticky mark: the
          marked point keeps computing garbage in its own plane column
          while the batch proceeds.  m -. m = 0. is Float.is_finite,
          literally.  pden and the pivot row's RHS load in the same
@@ -233,7 +232,7 @@ CAMLprim value symref_batch_run(value raw)
         const long base_a = (long) tgt_a[t] * stride;
         const long base_i = (long) tgt_row[t] * stride;
         /* m = a / pivot, then the fused RHS forward elimination — same
-           formulas, same order as run_fused. */
+           formulas, same order as the boxed refactor + solve. */
 #pragma omp simd
         for (long q = q0; q < q1; q++) {
           double ar = bre[base_a + q], ai = bim[base_a + q];

@@ -259,7 +259,7 @@ let fill_in f = f.fill_in
 module Kernel = Kernel
 
 (* The slot layout and elimination program live in {!Kernel.program} — the
-   fused execution engine replays them without this module — while the
+   batched engine replays them without this module — while the
    pattern keeps the coordinate list that defines {!refactor}'s [values]
    order. *)
 type pattern = {

@@ -109,17 +109,17 @@ val pattern_nnz : pattern -> int
 val pattern_stats : pattern -> int * int
 (** [(slots, structural_fill)] — workspace size diagnostics. *)
 
-(** {1 The fused kernel}
+(** {1 The batched engine}
 
-    {!Kernel} executes a pattern's recorded elimination program {e and} the
-    forward/back substitution directly on flat preallocated workspaces —
-    no boxed factor on the hot path, bit-identical results.
-    [Sparse.Kernel] re-exports it so the engine reads as part of this
-    module's API. *)
+    {!Kernel.Batch} executes a pattern's recorded elimination program
+    {e and} the forward/back substitution for a whole set of points at
+    once on flat planes — no boxed factor, bit-identical per point to
+    {!refactor} → {!det} → {!solve}.  [Sparse.Kernel] re-exports it so the
+    engine reads as part of this module's API. *)
 
 module Kernel = Kernel
 
 val pattern_program : pattern -> Kernel.program
-(** The pattern's elimination program, ready for {!Kernel.workspace} /
-    {!Kernel.Pool.create}.  Entry [e] of {!refactor}'s [values] order
+(** The pattern's elimination program, ready for {!Kernel.Batch.create} /
+    {!Kernel.Batch.Pool.create}.  Entry [e] of {!refactor}'s [values] order
     scatters to slot [(pattern_program p).coo_slot.(e)]. *)

@@ -50,10 +50,10 @@ let responses ?(config = default_config) circuit ~input ~output ~freqs =
   let h_of c =
     match Nodal.make c ~input ~output with
     | problem ->
+        (* The whole frequency grid is one point set. *)
         let values =
-          Array.map
-            (fun f -> Nodal.eval problem { Complex.re = 0.; im = 2. *. Float.pi *. f })
-            freqs
+          Nodal.eval_batch problem
+            (Array.map (fun f -> { Complex.re = 0.; im = 2. *. Float.pi *. f }) freqs)
         in
         if Array.exists (fun v -> v.Nodal.singular) values then None
         else Some (Array.map (fun v -> v.Nodal.h) values)

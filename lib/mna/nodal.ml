@@ -40,14 +40,10 @@ type stamp = {
    ([pl_pos], [-1] for a coordinate the pattern does not hold). *)
 type learned = { pl_pat : Sparse.pattern; pl_pos : int array }
 
-(* The kernel half of a pattern: the coordinate-to-slot scatter map ([-1]
+(* The batch half of a pattern: the coordinate-to-slot scatter map ([-1]
    for coordinates the pattern does not hold) and the per-domain workspace
-   pools of the fused engine. *)
-type kernel_payload = {
-  k_slot : int array;
-  k_pool : Kernel.Pool.t;
-  k_batch : Kernel.Batch.Pool.t;
-}
+   pool of the batched engine. *)
+type kernel_payload = { k_slot : int array; k_batch : Kernel.Batch.Pool.t }
 
 (* The pattern chain.  The sparsity of [g G + s f C] does not depend on the
    scale pair, so one learned pivot order serves every pass whose values
@@ -66,7 +62,7 @@ type kernel_payload = {
    canonical point was singular (evaluate from scratch).  [root] memoises
    the anchor pattern once learned ([Some None]: singular at the anchor);
    [anchor] is [None] for a circuit without capacitors or conductances.
-   [kernel] holds at most one kernel payload — its pools grow with use —
+   [kernel] holds at most one batch payload — its pool grows with use —
    that of the pattern it is paired with (physical equality).  The mutex
    makes concurrent [eval] calls from several domains safe. *)
 type link = { at_f : float; at_g : float; learned : learned option }
@@ -91,7 +87,6 @@ type t = {
   order_bound : int;
   stamp : stamp;
   reuse : bool;
-  use_kernel : bool;
   chain : chain;
 }
 
@@ -195,12 +190,7 @@ let build_stamp circuit (roles : role array) dim injections =
     live;
   { m_rows; m_cols; m_g; m_c; rhs_g; rhs_c; rhs_k }
 
-(* Escape hatch for A/B gating outside the API (CI's kernel bit-identity
-   job diffs a kernel-on against a kernel-off run of the same binary). *)
-let kernel_default =
-  match Sys.getenv_opt "SYMREF_NO_KERNEL" with Some _ -> false | None -> true
-
-let make ?(reuse = true) ?(kernel = kernel_default) circuit ~input ~output =
+let make ?(reuse = true) circuit ~input ~output =
   (* Resolve the input into (circuit without source, driven nodes, current
      injections). *)
   let circuit, driven, injections_nodes =
@@ -287,7 +277,6 @@ let make ?(reuse = true) ?(kernel = kernel_default) circuit ~input ~output =
     order_bound = Int.min (Netlist.capacitor_count circuit) dim;
     stamp = build_stamp circuit roles dim injections;
     reuse;
-    use_kernel = kernel;
     chain =
       {
         anchor =
@@ -321,7 +310,6 @@ let plan t =
   }
 
 let dimension t = t.dim
-let kernel_enabled t = t.use_kernel && t.reuse
 let order_bound t = t.order_bound
 let den_gdeg t = t.den_gdeg
 let num_gdeg t = t.num_gdeg
@@ -382,7 +370,7 @@ let advance t c prior ~f ~g =
   c.cur <- Some { at_f = f; at_g = g; learned };
   learned
 
-(* The kernel payload of pattern [l], made on first use and dropping the
+(* The batch payload of pattern [l], made on first use and dropping the
    previous pattern's (the caller holds the lock). *)
 let kernel_for c l =
   match c.kernel with
@@ -395,16 +383,15 @@ let kernel_for c l =
       let kp =
         {
           k_slot = Array.map (fun p -> if p < 0 then -1 else coo_slot.(p)) l.pl_pos;
-          k_pool = Kernel.Pool.create prog;
           k_batch = Kernel.Batch.Pool.create prog;
         }
       in
       c.kernel <- Some (l, kp);
       kp
 
-(* The chain's pattern at [(f, g)], with its kernel payload when the
-   kernel is on. *)
-let pattern_for t ~f ~g =
+(* The chain's pattern at [(f, g)], paired with [payload l] computed under
+   the same lock. *)
+let pattern_for t ~f ~g payload =
   let c = t.chain in
   Mutex.lock c.lock;
   Fun.protect
@@ -434,9 +421,7 @@ let pattern_for t ~f ~g =
             end
             else advance t c root ~f ~g
       in
-      Option.map
-        (fun l -> (l, if t.use_kernel then Some (kernel_for c l) else None))
-        learned)
+      Option.map (fun l -> (l, payload c l)) learned)
 
 let restart t =
   let c = t.chain in
@@ -453,10 +438,10 @@ let release_pools t =
 (* The boxed per-point machinery, shared between [eval] and [eval_batch]'s
    per-point fallbacks (ejected points, pole points).  Toplevel rather than
    closures so both entry points run the exact same float expressions —
-   bit-identity across the engines depends on the expression shapes here. *)
+   bit-identity between the two depends on the expression shapes here. *)
 
-(* Lazy: the kernel paths write the right-hand side straight into their
-   workspaces and never need the boxed array — only the boxed solve and the
+(* Lazy: the batched path writes the right-hand side straight into its
+   planes and never needs the boxed array — only the boxed solve and the
    Cramer fallback force it. *)
 let rhs_lazy t ~f ~g ~sre ~sim =
   let st = t.stamp in
@@ -468,17 +453,18 @@ let rhs_lazy t ~f ~g ~sre ~sim =
            im = sim *. cf;
          }))
 
+(* Value of stamp coordinate [e] at a point: [g_coef*g + s*(c_coef*f)]. *)
+let coord_value st ~f ~g ~sre ~sim e =
+  let cf = st.m_c.(e) *. f in
+  { Complex.re = (st.m_g.(e) *. g) +. (sre *. cf); im = sim *. cf }
+
 (* Assemble a builder from the coordinate arrays — the full-Markowitz
    fallback and the singular-point Cramer matrices (column [col] replaced
-   by the right-hand side) share this, so nothing is ever stamped twice.
-   Value of coordinate [e] at a point: [g_coef*g + s*(c_coef*f)]. *)
+   by the right-hand side) share this, so nothing is ever stamped twice. *)
 let build_at t ~f ~g ~sre ~sim ~rhs ?replace_col () =
   let st = t.stamp in
   let m = Array.length st.m_rows in
-  let value e =
-    let cf = st.m_c.(e) *. f in
-    { Complex.re = (st.m_g.(e) *. g) +. (sre *. cf); im = sim *. cf }
-  in
+  let value = coord_value st ~f ~g ~sre ~sim in
   let b = Sparse.create t.dim in
   (match replace_col with
   | None -> for e = 0 to m - 1 do Sparse.add b st.m_rows.(e) st.m_cols.(e) (value e) done
@@ -521,100 +507,24 @@ let from_scratch_at t ~f ~g ~sre ~sim ~rhs =
 
 let eval ?(f = 1.) ?(g = 1.) t s =
   let st = t.stamp in
-  let m = Array.length st.m_rows in
   let sre = s.Complex.re and sim = s.Complex.im in
-  (* Value of coordinate [e] at this point: [g_coef*g + s*(c_coef*f)]. *)
-  let value e =
-    let cf = st.m_c.(e) *. f in
-    { Complex.re = (st.m_g.(e) *. g) +. (sre *. cf); im = sim *. cf }
-  in
   let rhs = rhs_lazy t ~f ~g ~sre ~sim in
-  let singular_value () = singular_value_at t ~f ~g ~sre ~sim ~rhs in
-  let finish factor = finish_at t ~f ~g ~sre ~sim ~rhs factor in
   let from_scratch () = from_scratch_at t ~f ~g ~sre ~sim ~rhs in
-  (* Fused-kernel evaluation: scatter, replay and substitute on the calling
-     domain's pooled workspace — no boxed factor, no per-point allocation
-     inside the engine.  Every outcome re-joins a boxed-path behaviour
-     bit-identically: [`Bail] is exactly [refactor] returning [None],
-     [`Pole] (a determinant of exactly zero) the boxed Cramer branch, and
-     [`Unavailable] (workspace busy or over the pool cap) simply runs the
-     boxed replay. *)
-  let eval_kernel kp =
-    match Kernel.Pool.checkout kp.k_pool with
-    | None -> `Unavailable
-    | Some ws ->
-        Kernel.begin_point ws;
-        (* Direct stores into the workspace buffers: a cross-module setter
-           call would box every float argument in the scatter loop. *)
-        let wre = Kernel.matrix_re ws and wim = Kernel.matrix_im ws in
-        let k_slot = kp.k_slot in
-        for e = 0 to m - 1 do
-          let sl = k_slot.(e) in
-          if sl >= 0 then begin
-            let cf = st.m_c.(e) *. f in
-            wre.(sl) <- (st.m_g.(e) *. g) +. (sre *. cf);
-            wim.(sl) <- sim *. cf
-          end
-        done;
-        (* Same arithmetic as the boxed [rhs] array, written straight into
-           the workspace — no boxed Complex per entry. *)
-        let yre = Kernel.rhs_buf_re ws and yim = Kernel.rhs_buf_im ws in
-        for r = 0 to t.dim - 1 do
-          let cf = st.rhs_c.(r) *. f in
-          yre.(r) <- st.rhs_k.(r) +. (st.rhs_g.(r) *. g) +. (sre *. cf);
-          yim.(r) <- sim *. cf
-        done;
-        if not (Kernel.run ws) then begin
-          Kernel.Pool.release ws;
-          `Bail
-        end
-        else if Kernel.det_is_zero ws then begin
-          Kernel.Pool.release ws;
-          `Pole
-        end
-        else begin
-          let den = Kernel.det ws in
-          Kernel.solve_into ws;
-          let xr = Kernel.solution_re ws and xi = Kernel.solution_im ws in
-          let hre =
-            (match t.out_p with Some i -> xr.(i) | None -> 0.)
-            -. (match t.out_m with Some i -> xr.(i) | None -> 0.)
-          and him =
-            (match t.out_p with Some i -> xi.(i) | None -> 0.)
-            -. (match t.out_m with Some i -> xi.(i) | None -> 0.)
-          in
-          Kernel.Pool.release ws;
-          let h = { Complex.re = hre; im = him } in
-          let num = Ec.mul_complex den h in
-          `Value { den; num; h; singular = false }
-        end
-  in
   if not t.reuse then from_scratch ()
   else
-    match pattern_for t ~f ~g with
+    match pattern_for t ~f ~g (fun _ _ -> ()) with
     | None -> from_scratch ()
-    | Some (pl, kernel) -> (
-        let boxed () =
-          let pat = pl.pl_pat and pos = pl.pl_pos in
-          let vals = Array.make (Sparse.pattern_nnz pat) Complex.zero in
-          for e = 0 to m - 1 do
-            let p = pos.(e) in
-            if p >= 0 then vals.(p) <- value e
-          done;
-          match Sparse.refactor pat vals with
-          (* Reused pivots hit the threshold floor (or an exact pole): redo
-             the full Markowitz search so accuracy never regresses. *)
-          | None -> from_scratch ()
-          | Some factor -> finish factor
-        in
-        match kernel with
-        | None -> boxed ()
-        | Some kp -> (
-            match eval_kernel kp with
-            | `Value v -> v
-            | `Pole -> singular_value ()
-            | `Bail -> from_scratch ()
-            | `Unavailable -> boxed ()))
+    | Some (pl, ()) -> (
+        let pat = pl.pl_pat and pos = pl.pl_pos in
+        let vals = Array.make (Sparse.pattern_nnz pat) Complex.zero in
+        Array.iteri
+          (fun e p -> if p >= 0 then vals.(p) <- coord_value st ~f ~g ~sre ~sim e)
+          pos;
+        match Sparse.refactor pat vals with
+        (* Reused pivots hit the threshold floor (or an injected singular):
+           redo the full Markowitz search so accuracy never regresses. *)
+        | None -> from_scratch ()
+        | Some factor -> finish_at t ~f ~g ~sre ~sim ~rhs factor)
 
 (* One whole interpolation pass through the batched structure-of-arrays
    engine: scatter every point's matrix and RHS into slot-major planes, run
@@ -624,20 +534,20 @@ let eval ?(f = 1.) ?(g = 1.) t s =
 
    Fire ordering is the reason the walk is sequential and ordered: the
    batched engine itself consumes no [Inject] hits and touches no counters,
-   so point [q]'s kernel-site fire — and any [Sparse.factor] fires its
+   so point [q]'s refactor-site fire — and any [Sparse.factor] fires its
    fallback performs — lands strictly between point [q-1]'s and [q+1]'s,
-   exactly the sequence the per-point engine produces.  An armed fault plan
-   therefore replays identically under both engines, which is what the CI
-   batched bit-identity gate diffs.
+   exactly the sequence a per-point [eval] sweep produces.  An armed fault
+   plan therefore replays identically batched or per point, which is what
+   the batch fault-parity tests check.
 
    Counter contract (see [Metrics.kernel_batch_points]): a batch-served
    point counts [lu.refactor] + [kernel.batch_points]; an ejected point
    (threshold floor, non-finite pivot, or injected singular) counts
    [kernel.fallback] + [kernel.batch_ejects] exactly once — it goes
-   straight to the boxed full factorisation, never through the per-point
-   kernel, so the eject can't double-count.  Threshold ejects additionally
-   count [lu.refactor_fallback], injected ones don't — mirroring
-   [Kernel.run]'s accounting branch for branch. *)
+   straight to the boxed full factorisation, so the eject can't
+   double-count.  Threshold ejects additionally count
+   [lu.refactor_fallback], injected ones don't — as in [Sparse.refactor],
+   whose injection path counts nothing. *)
 let run_batch t ~f ~g kp b points =
   let st = t.stamp in
   let m = Array.length st.m_rows in
@@ -684,9 +594,9 @@ let run_batch t ~f ~g kp b points =
       let sre = s.Complex.re and sim = s.Complex.im in
       let rhs = rhs_lazy t ~f ~g ~sre ~sim in
       if Inject.fire Inject.sparse_singular then begin
-        (* Injected singular: the per-point kernel bails here before its
+        (* Injected singular: [Sparse.refactor] fires the hook before its
            elimination, so injection takes precedence over a threshold
-           eject — and, like [Kernel.run], it is not a threshold fallback:
+           eject — and it is not a threshold fallback:
            [lu.refactor_fallback] stays untouched. *)
         Obs.incr Obs.kernel_fallbacks;
         Obs.incr Obs.kernel_batch_ejects;
@@ -731,11 +641,11 @@ let eval_batch ?(f = 1.) ?(g = 1.) t points =
   if cnt = 0 then [||]
   else begin
     let per_point () = Array.map (fun s -> eval ~f ~g t s) points in
-    if not (kernel_enabled t) then per_point ()
+    if not t.reuse then per_point ()
     else
-      match pattern_for t ~f ~g with
-      | None | Some (_, None) -> per_point ()
-      | Some (_, Some kp) -> (
+      match pattern_for t ~f ~g kernel_for with
+      | None -> per_point ()
+      | Some (_, kp) -> (
           (* A failed checkout (pool cap, busy batch on a re-entrant
              systhread) sends the whole pass down the bit-identical
              per-point path. *)
@@ -750,6 +660,6 @@ let eval_batch ?(f = 1.) ?(g = 1.) t points =
 let elimination_program ?(f = 1.) ?(g = 1.) t =
   if not t.reuse then None
   else
-    match pattern_for t ~f ~g with
+    match pattern_for t ~f ~g (fun _ _ -> ()) with
     | None -> None
-    | Some (pl, _) -> Some (Sparse.pattern_program pl.pl_pat)
+    | Some (pl, ()) -> Some (Sparse.pattern_program pl.pl_pat)

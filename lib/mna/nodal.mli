@@ -46,7 +46,6 @@ exception Unsupported of string
 
 val make :
   ?reuse:bool ->
-  ?kernel:bool ->
   Symref_circuit.Netlist.t ->
   input:input ->
   output:output ->
@@ -60,18 +59,9 @@ val make :
     to scale pair while its pivots pass the threshold floor at the
     canonical point [s = i]; only a rejected pivot re-learns it at the new
     pair (see {!restart}).
-    [~reuse:false] restores the factor-from-scratch-per-point behaviour
-    (benchmark baseline).  [kernel] (default [true] unless the
-    [SYMREF_NO_KERNEL] environment variable is set) additionally runs the
-    replay {e and} the solve through the fused unboxed engine
-    ({!Symref_linalg.Kernel}) on a per-domain pooled workspace; it only
-    takes effect together with [reuse], is bit-identical to the boxed
-    replay (including threshold-floor, fault-injection and singular-point
-    behaviour), and is therefore a pure cost switch.  Evaluation is
-    thread-safe either way. *)
-
-val kernel_enabled : t -> bool
-(** Whether evaluations may use the fused kernel ([kernel && reuse]). *)
+    [~reuse:false] restores the factor-from-scratch-per-point behaviour:
+    the [Sparse.factor] oracle the tests and benchmarks compare against.
+    Evaluation is thread-safe either way. *)
 
 val dimension : t -> int
 (** Order of the reduced nodal matrix. *)
@@ -100,22 +90,24 @@ type value = {
 
 val eval : ?f:float -> ?g:float -> t -> Complex.t -> value
 (** [eval ~f ~g t s] evaluates at the point [s] with frequency scale [f] and
-    conductance scale [g] (both default [1.]). *)
+    conductance scale [g] (both default [1.]), replaying the learned
+    pattern through the boxed {!Symref_linalg.Sparse.refactor}.  Callers
+    that know a whole point set up front use {!eval_batch}. *)
 
 val eval_batch : ?f:float -> ?g:float -> t -> Complex.t array -> value array
-(** [eval_batch ~f ~g t points] evaluates every point of one interpolation
-    pass through the batched structure-of-arrays engine
+(** [eval_batch ~f ~g t points] evaluates a whole point set — one
+    interpolation pass, one guard-retry level, one scale's verification
+    probes — through the batched structure-of-arrays engine
     ({!Symref_linalg.Kernel.Batch}): the elimination program is decoded once
     and each instruction loops over the contiguous points, instead of
     replaying the whole program per point.  Result [i] is bit-for-bit the
     value [eval ~f ~g t points.(i)] would produce, including threshold-floor
     ejects, singular points and armed [sparse.singular] fault plans (hook
     fires are interleaved in point order, exactly as a sequential per-point
-    sweep consumes them) — so batching is a pure cost switch.  Falls back to
-    a per-point sweep when the kernel is disabled, the pattern is
-    unavailable, or the per-domain batch pool refuses a checkout.
-    Batch-served points count [kernel.batch_points] (instead of
-    [kernel.points]); ejected points count [kernel.fallback] +
+    sweep consumes them).  Falls back to a per-point sweep when [reuse] is
+    off, the pattern is unavailable, or the per-domain batch pool refuses a
+    checkout.  Batch-served points count [lu.refactor] +
+    [kernel.batch_points]; ejected points count [kernel.fallback] +
     [kernel.batch_ejects] exactly once each. *)
 
 val elimination_program :
@@ -136,7 +128,7 @@ val restart : t -> unit
     Cheap: the root pattern is learned once and kept. *)
 
 val release_pools : t -> unit
-(** Drop the fused engine's workspace pools, whose batch planes grow with
+(** Drop the batched engine's workspace pool, whose planes grow with
     the largest pass.  The learned patterns stay; the next evaluation
     makes fresh pools.  {!Symref_core.Reference.generate} calls this when
     it returns, so a kept reference does not hold the planes. *)

@@ -93,12 +93,11 @@ let lu_symbolic = counter "lu.symbolic"
 let lu_refactor = counter "lu.refactor"
 let refactor_fallbacks = counter "lu.refactor_fallback"
 
-(* The kernel family: the fused unboxed refactor+solve engine
-   ([Symref_linalg.Kernel]).  Kernel-served points are *also* counted under
-   [lu.refactor]/[lu.refactor_fallback] — the kernel is the numeric
-   refactorisation, fused — so the lu.* invariants hold whichever engine
-   served a point; these three tell how many went through the fused path. *)
-let kernel_points = counter "kernel.points"
+(* The kernel family: the batched replay engine ([Symref_linalg.Kernel]).
+   Batch-served points are *also* counted under [lu.refactor] (and threshold
+   ejects under [lu.refactor_fallback]) — the batch is the numeric
+   refactorisation — so the lu.* invariants hold whichever path served a
+   point; these tell how many went through the batch. *)
 let kernel_fallbacks = counter "kernel.fallback"
 let kernel_workspaces = counter "kernel.workspaces"
 let kernel_batch_points = counter "kernel.batch_points"

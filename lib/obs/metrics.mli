@@ -72,35 +72,34 @@ val refactor_fallbacks : counter
 
 (** {2 The kernel family}
 
-    The fused unboxed refactor+solve engine ({!Symref_linalg.Kernel}).
-    Kernel-served points are {e also} counted under
-    [lu.refactor]/[lu.refactor_fallback] — the kernel {e is} the numeric
-    refactorisation, fused — so the lu.* invariants are engine-agnostic. *)
-
-val kernel_points : counter
-(** Evaluation points served by the fused kernel (elimination + solve on
-    flat workspaces, no boxed factor). *)
+    The batched structure-of-arrays replay engine
+    ({!Symref_linalg.Kernel.Batch}).  Batch-served points are {e also}
+    counted under [lu.refactor] (threshold ejects under
+    [lu.refactor_fallback]) — the batch {e is} the numeric
+    refactorisation — so the lu.* invariants hold whichever path served a
+    point.  With [lu.refactor = kernel.batch_points] no point of a run was
+    replayed per point. *)
 
 val kernel_fallbacks : counter
-(** Kernel runs that bailed (threshold floor, non-finite pivot or injected
-    singularity) back to the boxed path. *)
+(** Batch points that left the batch (threshold floor, non-finite pivot or
+    injected singularity) for the boxed full factorisation — always equal
+    to [kernel.batch_ejects]. *)
 
 val kernel_workspaces : counter
-(** Workspaces allocated — one per (pattern, domain) in the steady state,
-    per-point and batched alike. *)
+(** Batch workspaces allocated — one per (pattern, domain) in the steady
+    state. *)
 
 val kernel_batch_points : counter
 (** Evaluation points served by the batched structure-of-arrays engine
-    ({!Symref_linalg.Kernel.Batch}) — counted {e instead of}
-    [kernel.points], so the two engines stay distinguishable; batch-served
-    points still count under [lu.refactor]. *)
+    ({!Symref_linalg.Kernel.Batch}); each also counts under
+    [lu.refactor]. *)
 
 val kernel_batch_ejects : counter
 (** Points ejected from a batch to the boxed per-point fallback (threshold
     floor, non-finite pivot, or injected singularity).  An ejected point is
     counted here and under [kernel.fallback] exactly once — it goes
-    straight to the boxed full factorisation, never through the per-point
-    kernel, so the two counters cannot double-count one point. *)
+    straight to the boxed full factorisation, so the two counters cannot
+    double-count one point. *)
 
 val evaluator_calls : counter
 (** {!Symref_core.Evaluator} [eval] calls — the paper's cost metric. *)

@@ -3,7 +3,6 @@ type t = {
   lu_symbolic : int;
   lu_refactor : int;
   refactor_fallbacks : int;
-  kernel_points : int;
   kernel_fallbacks : int;
   kernel_workspaces : int;
   kernel_batch_points : int;
@@ -66,7 +65,6 @@ let zero =
     lu_symbolic = 0;
     lu_refactor = 0;
     refactor_fallbacks = 0;
-    kernel_points = 0;
     kernel_fallbacks = 0;
     kernel_workspaces = 0;
     kernel_batch_points = 0;
@@ -129,7 +127,6 @@ let capture () =
     lu_symbolic = Metrics.value Metrics.lu_symbolic;
     lu_refactor = Metrics.value Metrics.lu_refactor;
     refactor_fallbacks = Metrics.value Metrics.refactor_fallbacks;
-    kernel_points = Metrics.value Metrics.kernel_points;
     kernel_fallbacks = Metrics.value Metrics.kernel_fallbacks;
     kernel_workspaces = Metrics.value Metrics.kernel_workspaces;
     kernel_batch_points = Metrics.value Metrics.kernel_batch_points;
@@ -202,7 +199,6 @@ let fields =
     ( "lu.refactor_fallback",
       (fun t -> t.refactor_fallbacks),
       fun t v -> { t with refactor_fallbacks = v } );
-    ("kernel.points", (fun t -> t.kernel_points), fun t v -> { t with kernel_points = v });
     ( "kernel.fallback",
       (fun t -> t.kernel_fallbacks),
       fun t v -> { t with kernel_fallbacks = v } );

@@ -51,17 +51,16 @@ type outcome = {
   trials : int;
 }
 
-(* Frequency response through the nodal evaluator; None when the pruned
-   network is singular/unsupported at some point. *)
+(* Frequency response through the nodal evaluator, the whole grid as one
+   batch; None when the pruned network is singular/unsupported at some
+   point. *)
 let response circuit ~input ~output freqs =
   match Nodal.make circuit ~input ~output with
   | exception Nodal.Unsupported _ -> None
   | problem ->
       let values =
-        Array.map
-          (fun f ->
-            Nodal.eval problem { Complex.re = 0.; im = 2. *. Float.pi *. f })
-          freqs
+        Nodal.eval_batch problem
+          (Array.map (fun f -> { Complex.re = 0.; im = 2. *. Float.pi *. f }) freqs)
       in
       if Array.exists (fun v -> v.Nodal.singular) values then None
       else Some (Array.map (fun v -> v.Nodal.h) values)

@@ -235,7 +235,7 @@ let with_metrics f =
 let lu_counters () =
   List.filter (fun (name, _) -> String.length name > 3 && String.sub name 0 3 = "lu.") (Metrics.all ())
 
-let bitwise_value msg a b = Alcotest.(check bool) msg true (Test_kernel.value_bits_equal a b)
+let bitwise_value msg a b = Alcotest.(check bool) msg true (Test_batch.value_bits_equal a b)
 
 let test_chain_capacitor_less () =
   (* A resistive network with a transconductance stage has no mean

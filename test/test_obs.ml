@@ -61,11 +61,10 @@ let test_ua741_counters () =
     s.Snapshot.memo_hits;
   Alcotest.(check int) "replays + fallbacks = memo misses" s.Snapshot.memo_misses
     (s.Snapshot.lu_refactor + s.Snapshot.refactor_fallbacks);
-  (* All clean-run points are served by the batched engine: nothing ejects,
-     nothing leaks to the per-point kernel counter. *)
+  (* All clean-run points are served by the batched engine: nothing
+     ejects. *)
   Alcotest.(check int) "batched points = replays" s.Snapshot.lu_refactor
     s.Snapshot.kernel_batch_points;
-  Alcotest.(check int) "no per-point kernel points" 0 s.Snapshot.kernel_points;
   Alcotest.(check int) "no batch ejects" 0 s.Snapshot.kernel_batch_ejects;
   Alcotest.(check int) "no kernel fallbacks" 0 s.Snapshot.kernel_fallbacks;
   Alcotest.(check int) "factorizations = refactor + scratch"
