@@ -1,8 +1,9 @@
 (* symref: numerical reference generation for symbolic analysis of analog
    circuits (Garcia-Vargas et al., DATE 1997).
 
-   Subcommands: info, coeffs, bode, ac, sbg, poles, sensitivity, margins,
-   noise, mc, tables. *)
+   Subcommands: info, coeffs, doctor, bode, ac, sbg, simplify, poles,
+   sensitivity, margins, noise, mc, transient, dot, tables, serve, submit,
+   batch, router, fleet. *)
 
 module N = Symref_circuit.Netlist
 module Nodal = Symref_mna.Nodal
@@ -592,7 +593,7 @@ let sensitivity_cmd =
   in
   Cmd.v
     (Cmd.info "sensitivity"
-       ~doc:"Element sensitivities of the transfer function (perturbation).")
+       ~doc:"Element sensitivities of the transfer function (adjoint).")
     Term.(
       const run $ netlist_arg $ input_arg $ output_arg $ freq_arg $ top_arg
       $ from_arg $ to_arg $ per_decade_arg $ obs_term)

@@ -40,7 +40,7 @@ let () =
 
   (* Who sets the passband edge?  Sensitivities at the corner. *)
   print_endline "\nsensitivities at 1 MHz (top 8):";
-  let entries = Sensitivity.at circuit ~input ~output ~freq_hz:1e6 in
+  let entries = Sensitivity.adjoint_at circuit ~input ~output ~freq_hz:1e6 in
   List.iteri
     (fun i (e : Sensitivity.entry) ->
       if i < 8 then

@@ -477,6 +477,11 @@ let build_at t ~f ~g ~sre ~sim ~rhs ?replace_col () =
         (Lazy.force rhs));
   b
 
+let unit_system t s =
+  let sre = s.Complex.re and sim = s.Complex.im in
+  let rhs = rhs_lazy t ~f:1. ~g:1. ~sre ~sim in
+  (Sparse.factor (build_at t ~f:1. ~g:1. ~sre ~sim ~rhs ()), Lazy.force rhs)
+
 let singular_value_at t ~f ~g ~sre ~sim ~rhs =
   (* A pole sits exactly on this interpolation point: H is undefined, but
      the numerator value is still well-defined through Cramer's rule

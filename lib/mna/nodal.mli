@@ -110,6 +110,16 @@ val eval_batch : ?f:float -> ?g:float -> t -> Complex.t array -> value array
     [kernel.batch_points]; ejected points count [kernel.fallback] +
     [kernel.batch_ejects] exactly once each. *)
 
+val unit_system : t -> Complex.t -> Symref_linalg.Sparse.factor * Complex.t array
+(** [unit_system t s] is the full-Markowitz factor of the reduced matrix
+    [A(s) = G + s C] at unit scales ([f = g = 1]) and the right-hand side
+    of the unit drive at [s], both read from the stamp {!make} recorded —
+    the one assembly the noise, sensitivity and transient analyses solve
+    (a real [s] gives the companion matrix of an implicit integrator).
+    Rows and columns are the reduced indices of {!plan}.  The factor is a
+    fresh {!Symref_linalg.Sparse.factor}, independent of the pattern
+    chain; a singular [A(s)] factors with [Sparse.det] zero. *)
+
 val elimination_program :
   ?f:float -> ?g:float -> t -> Symref_linalg.Kernel.program option
 (** The elimination program the pattern chain uses at a scale pair —

@@ -5,11 +5,14 @@
     transconductance (treated as a device channel/collector current source
     with spectral density [2 q I = 2 q (gm V_T)], i.e. [2 k T gm] for a
     bipolar-like device — the standard small-signal shorthand) is propagated
-    to the output by one nodal solve per source per frequency, and summed in
-    power.
+    to the output by the adjoint method and summed in power.  At each
+    frequency the reduced nodal matrix is factored once
+    ({!Nodal.unit_system}); one transpose solve with the output selector,
+    [w = A^-T e_out], gives every source's transimpedance at once as
+    [w_b - w_a] for a unit current from node [a] to node [b].
 
-    Input-referred noise divides by the signal gain computed with the same
-    machinery. *)
+    Input-referred noise divides by the signal gain [H], solved from the
+    same factor. *)
 
 type contribution = {
   element : string;
@@ -23,8 +26,8 @@ type point = {
   contributions : contribution list;  (** descending *)
 }
 
-val temperature_kelvin : float ref
-(** Defaults to 300 K. *)
+val temperature_kelvin : float
+(** 300 K. *)
 
 val at :
   Symref_circuit.Netlist.t ->

@@ -1,3 +1,4 @@
+module Sparse = Symref_linalg.Sparse
 module Netlist = Symref_circuit.Netlist
 module Element = Symref_circuit.Element
 
@@ -65,73 +66,22 @@ let at ?(rel_step = 1e-4) circuit ~input ~output ~freq_hz =
     entries
 
 (* Adjoint method: one forward solve for v, one transpose solve for w with
-   the output selector as RHS; every element sensitivity is then a local
-   product.  dv_out/dA_jk = -w_j v_k for free indices; driven and ground
-   nodes carry v = drive value (resp. 0) and w = 0. *)
-let adjoint_at circuit ~input ~output ~freq_hz =
-  let module Sparse = Symref_linalg.Sparse in
-  let module Ec = Symref_numeric.Extcomplex in
-  let problem = Nodal.make circuit ~input ~output in
+   the output selector as RHS, both on the factor of Nodal's stamp; every
+   element sensitivity is then a local product.  dv_out/dA_jk = -w_j v_k
+   for free indices; driven and ground nodes carry v = drive value
+   (resp. 0) and w = 0. *)
+let adjoint_entries problem ~freq_hz =
   let plan = Nodal.plan problem in
   let s = { Complex.re = 0.; im = 2. *. Float.pi *. freq_hz } in
-  let dim = plan.Nodal.plan_dim in
-  let b = Sparse.create dim in
-  let rhs = Array.make dim Complex.zero in
-  let entry row col (v : Complex.t) =
-    match plan.Nodal.roles.(row) with
-    | Nodal.Ground | Nodal.Driven _ -> ()
-    | Nodal.Free r -> (
-        match plan.Nodal.roles.(col) with
-        | Nodal.Ground -> ()
-        | Nodal.Driven d -> rhs.(r) <- Complex.sub rhs.(r) { re = v.re *. d; im = v.im *. d }
-        | Nodal.Free c -> Sparse.add b r c v)
-  in
-  let admittance a b' y =
-    entry a a y;
-    entry b' b' y;
-    let ny = Complex.neg y in
-    entry a b' ny;
-    entry b' a ny
-  in
-  List.iter
-    (fun (e : Element.t) ->
-      match e.Element.kind with
-      | Element.Conductance { a; b = b'; siemens } -> admittance a b' { re = siemens; im = 0. }
-      | Element.Resistor { a; b = b'; ohms } -> admittance a b' { re = 1. /. ohms; im = 0. }
-      | Element.Capacitor { a; b = b'; farads } ->
-          admittance a b' (Complex.mul s { re = farads; im = 0. })
-      | Element.Vccs { p; m; cp; cm; gm } ->
-          let y = { Complex.re = gm; im = 0. } in
-          let ny = Complex.neg y in
-          entry p cp y;
-          entry p cm ny;
-          entry m cp ny;
-          entry m cm y
-      | Element.Isrc { a; b = b'; amps } ->
-          (match plan.Nodal.roles.(a) with
-          | Nodal.Free r -> rhs.(r) <- Complex.add rhs.(r) { re = -.amps; im = 0. }
-          | Nodal.Ground | Nodal.Driven _ -> ());
-          (match plan.Nodal.roles.(b') with
-          | Nodal.Free r -> rhs.(r) <- Complex.add rhs.(r) { re = amps; im = 0. }
-          | Nodal.Ground | Nodal.Driven _ -> ())
-      | Element.Inductor _ | Element.Vcvs _ | Element.Cccs _ | Element.Ccvs _
-      | Element.Vsrc _ ->
-          assert false)
-    (Netlist.elements plan.Nodal.reduced_circuit);
-  List.iter
-    (fun (r, v) -> rhs.(r) <- Complex.add rhs.(r) { re = v; im = 0. })
-    plan.Nodal.plan_injections;
-  let factor = Sparse.factor b in
-  if Ec.is_zero (Sparse.det factor) then
+  let factor, rhs = Nodal.unit_system problem s in
+  if Symref_numeric.Extcomplex.is_zero (Sparse.det factor) then
     invalid_arg "Sensitivity.adjoint_at: singular network";
   let v = Sparse.solve factor rhs in
-  let selector = Array.make dim Complex.zero in
-  (match plan.Nodal.plan_out_p with
-  | Some r -> selector.(r) <- Complex.add selector.(r) Complex.one
-  | None -> ());
-  (match plan.Nodal.plan_out_m with
-  | Some r -> selector.(r) <- Complex.sub selector.(r) Complex.one
-  | None -> ());
+  let selector = Array.make plan.Nodal.plan_dim Complex.zero in
+  Option.iter (fun r -> selector.(r) <- Complex.one) plan.Nodal.plan_out_p;
+  Option.iter
+    (fun r -> selector.(r) <- Complex.sub selector.(r) Complex.one)
+    plan.Nodal.plan_out_m;
   let w = Sparse.solve_transpose factor selector in
   let h =
     let pick = function Some r -> v.(r) | None -> Complex.zero in
@@ -187,11 +137,15 @@ let adjoint_at circuit ~input ~output ~freq_hz =
   in
   List.sort (fun a b -> Float.compare (Complex.norm b.s) (Complex.norm a.s)) entries
 
-let worst_case ?rel_step circuit ~input ~output ~freqs =
+let adjoint_at circuit ~input ~output ~freq_hz =
+  adjoint_entries (Nodal.make circuit ~input ~output) ~freq_hz
+
+let worst_case circuit ~input ~output ~freqs =
+  let problem = Nodal.make circuit ~input ~output in
   let tbl = Hashtbl.create 32 in
   Array.iter
     (fun f ->
-      match at ?rel_step circuit ~input ~output ~freq_hz:f with
+      match adjoint_entries problem ~freq_hz:f with
       | entries ->
           List.iter
             (fun e ->

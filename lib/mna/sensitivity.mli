@@ -7,9 +7,12 @@
 
     [S_x^H(s) = (x / H) * dH/dx]
 
-    by central-difference perturbation of the element value with two nodal
-    solves per element, at any point of the [j*omega] axis.  Magnitude
-    sensitivity in dB-per-percent and phase sensitivity are derived views:
+    exactly, by the adjoint network method ({!adjoint_at}), at any point of
+    the [j*omega] axis: one factor of the reduced nodal matrix
+    ({!Nodal.unit_system}) and two solves cover every element.  {!at}
+    keeps central-difference perturbation of each element value as the
+    independent test oracle.  Magnitude sensitivity in dB-per-percent and
+    phase sensitivity are derived views:
     [d|H|dB = 20 / ln 10 * Re S * dx/x * 100]. *)
 
 type entry = {
@@ -28,21 +31,23 @@ val at :
   freq_hz:float ->
   entry list
 (** Sensitivities of every element with a perturbable value, sorted by
-    descending [|s|].  [rel_step] (default [1e-4]) is the relative
-    perturbation.  Elements whose perturbed network is singular are
-    skipped.
+    descending [|s|], by central differences with two nodal solves per
+    element — the oracle {!adjoint_at} is tested against.  [rel_step]
+    (default [1e-4]) is the relative perturbation.  Elements whose
+    perturbed network is singular are skipped.
     @raise Nodal.Unsupported on circuits outside the nodal class. *)
 
 val worst_case :
-  ?rel_step:float ->
   Symref_circuit.Netlist.t ->
   input:Nodal.input ->
   output:Nodal.output ->
   freqs:float array ->
   (string * float) list
 (** Per element, the maximum [|S|] over the frequency grid — the ranking a
-    designer (or an SBG pruner) reads to find what matters.  Sorted
-    descending. *)
+    designer (or an SBG pruner) reads to find what matters.  Adjoint
+    sensitivities, one factor per frequency; frequencies where the network
+    is singular or [H] is zero are skipped.  Sorted descending.
+    @raise Nodal.Unsupported on circuits outside the nodal class. *)
 
 val adjoint_at :
   Symref_circuit.Netlist.t ->

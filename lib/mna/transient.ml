@@ -26,62 +26,27 @@ let simulate circuit ~input ~output ~waveform ~t_stop ~steps =
   let plan = Nodal.plan problem in
   let dim = plan.Nodal.plan_dim in
   let h = t_stop /. float_of_int steps in
-  (* Assemble the constant matrix with capacitor companion conductance
-     [coef * C / h]: coef = 2 for trapezoidal, 1 for the backward-Euler
-     start-up step that absorbs the inconsistent initial state. *)
-  let build coef =
-    let b = Sparse.create dim in
-    let g_drive = Array.make dim 0. in
-    let i_const = Array.make dim 0. in
-    let caps = ref [] in
-    let entry row col v =
-      match plan.Nodal.roles.(row) with
-      | Nodal.Ground | Nodal.Driven _ -> ()
-      | Nodal.Free r -> (
-          match plan.Nodal.roles.(col) with
-          | Nodal.Ground -> ()
-          | Nodal.Driven d -> g_drive.(r) <- g_drive.(r) +. (v *. d)
-          | Nodal.Free c -> Sparse.add b r c { Complex.re = v; im = 0. })
-    in
-    let conductance a b' g =
-      entry a a g;
-      entry b' b' g;
-      entry a b' (-.g);
-      entry b' a (-.g)
-    in
-    List.iter
-      (fun (e : Element.t) ->
-        match e.Element.kind with
-        | Element.Conductance { a; b = b'; siemens } -> conductance a b' siemens
-        | Element.Resistor { a; b = b'; ohms } -> conductance a b' (1. /. ohms)
-        | Element.Capacitor { a; b = b'; farads } ->
-            let g_eq = coef *. farads /. h in
-            conductance a b' g_eq;
-            caps := { ca = a; cb = b'; g_eq; v = 0.; i = 0. } :: !caps
-        | Element.Vccs { p; m; cp; cm; gm } ->
-            entry p cp gm;
-            entry p cm (-.gm);
-            entry m cp (-.gm);
-            entry m cm gm
-        | Element.Isrc { a; b = b'; amps } ->
-            (match plan.Nodal.roles.(a) with
-            | Nodal.Free r -> i_const.(r) <- i_const.(r) -. amps
-            | Nodal.Ground | Nodal.Driven _ -> ());
-            (match plan.Nodal.roles.(b') with
-            | Nodal.Free r -> i_const.(r) <- i_const.(r) +. amps
-            | Nodal.Ground | Nodal.Driven _ -> ())
-        | Element.Inductor _ | Element.Vcvs _ | Element.Cccs _ | Element.Ccvs _
-        | Element.Vsrc _ ->
-            assert false (* excluded by Nodal.make *))
-      (Netlist.elements plan.Nodal.reduced_circuit);
-    let factor = Sparse.factor b in
+  (* A capacitor over one step is its companion conductance [coef * C / h]
+     beside a history current, so the constant step matrix is A(s) at the
+     real point s = coef / h: coef = 2 for trapezoidal, 1 for the
+     backward-Euler start-up step that absorbs the inconsistent initial
+     state.  The stamp's right-hand side there is the unit input's drive. *)
+  let system coef =
+    let factor, drive = Nodal.unit_system problem { Complex.re = coef /. h; im = 0. } in
     if Symref_numeric.Extcomplex.is_zero (Sparse.det factor) then
       invalid_arg "Transient.simulate: singular system";
-    (factor, g_drive, i_const, !caps)
+    (factor, drive)
   in
-  let factor, g_drive, i_const, caps = build 2. in
-  let be_factor, be_g_drive, be_i_const, _ = build 1. in
-  let caps = ref caps in
+  let trap = system 2. and be = system 1. in
+  let caps =
+    List.filter_map
+      (fun (e : Element.t) ->
+        match e.Element.kind with
+        | Element.Capacitor { a; b; farads } ->
+            Some { ca = a; cb = b; g_eq = 2. *. farads /. h; v = 0.; i = 0. }
+        | _ -> None)
+      (Netlist.elements plan.Nodal.reduced_circuit)
+  in
   let x = Array.make dim 0. in
   (* Voltage of a node given the current free solution and drive value. *)
   let node_v u n =
@@ -104,10 +69,10 @@ let simulate circuit ~input ~output ~waveform ~t_stop ~steps =
     (* Backward Euler on the first step (hist = g_be v_n, i unused), then
        trapezoidal (hist = g_eq v_n + i_n). *)
     let first = n = 1 in
-    let fct = if first then be_factor else factor in
-    let gd = if first then be_g_drive else g_drive in
-    let ic = if first then be_i_const else i_const in
-    Array.iteri (fun r g -> rhs.(r) <- { Complex.re = (-.g *. u) +. ic.(r); im = 0. }) gd;
+    let fct, drive = if first then be else trap in
+    Array.iteri
+      (fun r (d : Complex.t) -> rhs.(r) <- { Complex.re = d.re *. u; im = 0. })
+      drive;
     List.iter
       (fun c ->
         let g = if first then c.g_eq /. 2. else c.g_eq in
@@ -118,7 +83,7 @@ let simulate circuit ~input ~output ~waveform ~t_stop ~steps =
         (match plan.Nodal.roles.(c.cb) with
         | Nodal.Free r -> rhs.(r) <- Complex.add rhs.(r) { re = -.hist; im = 0. }
         | Nodal.Ground | Nodal.Driven _ -> ()))
-      !caps;
+      caps;
     let sol = Sparse.solve fct rhs in
     Array.iteri (fun r (z : Complex.t) -> x.(r) <- z.re) sol;
     (* Update capacitor states. *)
@@ -131,7 +96,7 @@ let simulate circuit ~input ~output ~waveform ~t_stop ~steps =
         in
         c.v <- v_new;
         c.i <- i_new)
-      !caps;
+      caps;
     output.(n) <- out ()
   done;
   { times; output }

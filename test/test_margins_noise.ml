@@ -139,6 +139,93 @@ let test_noise_ranking_ua741 () =
         (String.length top.Noise.element > 0)
   | [] -> Alcotest.fail "no contributions"
 
+(* The per-source algorithm the adjoint method replaced, kept as the
+   oracle: on the same factor of the reduced nodal matrix, one forward
+   solve per noise source with a unit current injected from its node [a]
+   to its node [b], read at the output. *)
+let per_source_densities circuit ~input ~output ~freq_hz =
+  let module Sparse = Symref_linalg.Sparse in
+  let module E = Symref_circuit.Element in
+  let problem = Nodal.make circuit ~input ~output in
+  let plan = Nodal.plan problem in
+  let factor, _ =
+    Nodal.unit_system problem { Complex.re = 0.; im = 2. *. Float.pi *. freq_hz }
+  in
+  let kt = 1.380649e-23 *. Noise.temperature_kelvin in
+  let transimpedance a b =
+    let rhs = Array.make plan.Nodal.plan_dim Complex.zero in
+    let inject n v =
+      match plan.Nodal.roles.(n) with
+      | Nodal.Free r -> rhs.(r) <- Complex.add rhs.(r) v
+      | Nodal.Ground | Nodal.Driven _ -> ()
+    in
+    inject a { re = -1.; im = 0. };
+    inject b Complex.one;
+    let x = Sparse.solve factor rhs in
+    let pick = function Some i -> x.(i) | None -> Complex.zero in
+    Complex.sub (pick plan.Nodal.plan_out_p) (pick plan.Nodal.plan_out_m)
+  in
+  List.filter_map
+    (fun (e : E.t) ->
+      let source =
+        match e.E.kind with
+        | E.Resistor { a; b; ohms } -> Some (a, b, 4. *. kt /. ohms)
+        | E.Conductance { a; b; siemens } when siemens > 0. ->
+            Some (a, b, 4. *. kt *. siemens)
+        | E.Vccs { p; m; gm; _ } -> Some (p, m, 2. *. kt *. Float.abs gm)
+        | _ -> None
+      in
+      Option.map
+        (fun (a, b, density) ->
+          let z = transimpedance a b in
+          (e.E.name, density *. Complex.norm z *. Complex.norm z))
+        source)
+    (N.elements plan.Nodal.reduced_circuit)
+
+let test_noise_adjoint_matches_per_source () =
+  let check name circuit ~input ~output freq_hz =
+    let p = Noise.at circuit ~input ~output ~freq_hz in
+    let oracle = per_source_densities circuit ~input ~output ~freq_hz in
+    Alcotest.(check int)
+      (Printf.sprintf "%s at %g Hz: every source" name freq_hz)
+      (List.length oracle)
+      (List.length p.Noise.contributions);
+    List.iter
+      (fun (element, want) ->
+        match
+          List.find_opt (fun (c : Noise.contribution) -> c.Noise.element = element)
+            p.Noise.contributions
+        with
+        | None -> Alcotest.fail (element ^ " missing from the adjoint contributions")
+        | Some c ->
+            check_rel
+              (Printf.sprintf "%s %s at %g Hz" name element freq_hz)
+              want c.Noise.output_density 1e-9)
+      oracle;
+    (* Input-referred noise divides by the H of the same full factor: the
+       one [Nodal.eval] computes without pattern reuse.  (A carried pivot
+       order moves the 741's H at 1 Hz by ~1e-12.) *)
+    let h =
+      (Nodal.eval (Nodal.make ~reuse:false circuit ~input ~output)
+         { Complex.re = 0.; im = 2. *. Float.pi *. freq_hz }).Nodal.h
+    in
+    check_rel
+      (Printf.sprintf "%s |H|^2 at %g Hz" name freq_hz)
+      (Complex.norm h *. Complex.norm h)
+      (p.Noise.output_density /. p.Noise.input_density)
+      1e-12
+  in
+  List.iter
+    (fun f ->
+      check "ua741" Ua741.circuit
+        ~input:(Nodal.V_diff (Ua741.input_p, Ua741.input_n))
+        ~output:(Nodal.Out_node Ua741.output) f)
+    [ 1.; 1e3; 1e6 ];
+  let module Ota = Symref_circuit.Ota in
+  check "ota" Ota.circuit
+    ~input:(Nodal.V_diff (Ota.input_p, Ota.input_n))
+    ~output:(Nodal.Out_node Ota.output) 1e3
+
 let suite =
   [
     ( "margins",
@@ -151,5 +238,7 @@ let suite =
         Alcotest.test_case "rc kT/C closed form" `Quick test_noise_rc_closed_form;
         Alcotest.test_case "resistive divider" `Quick test_noise_attenuator;
         Alcotest.test_case "ua741 ranking" `Quick test_noise_ranking_ua741;
+        Alcotest.test_case "adjoint = per-source solves" `Quick
+          test_noise_adjoint_matches_per_source;
       ] );
   ]

@@ -4,6 +4,7 @@
 
 module Transient = Symref_mna.Transient
 module Nodal = Symref_mna.Nodal
+module N = Symref_circuit.Netlist
 module Ladder = Symref_circuit.Rc_ladder
 module Biquad = Symref_circuit.Biquad
 module Reference = Symref_core.Reference
@@ -52,24 +53,34 @@ let test_rc_sine_steady_state () =
   check_rel "steady-state amplitude" (1. /. Float.sqrt 2.) peak 5e-3
 
 let test_matches_modal_step () =
-  (* A Q = 1.3 biquad: trapezoidal integration vs the partial-fraction step
-     response from the adaptive references. *)
-  let d = { Biquad.f0_hz = 1e6; q = 1.3; gm = 40e-6 } in
-  let c = Biquad.cascade [ d ] in
-  let input = Nodal.Vsrc_element "vin" and output = Nodal.Out_node "out" in
-  let t_stop = 3e-6 in
-  let steps = 3000 in
-  let sim = Transient.simulate c ~input ~output ~waveform:(Transient.step ()) ~t_stop ~steps in
-  let reference = Reference.generate c ~input ~output in
-  let modal =
-    Rational.step_response (Rational.of_reference reference) ~times:sim.Transient.times
+  (* Trapezoidal integration vs the partial-fraction step response from the
+     adaptive references, for a Q = 1.3 biquad under a voltage drive and an
+     RC net under a current drive (the unit current scales with the step). *)
+  let check c ~input ~output ~t_stop ~steps ~settled =
+    let sim =
+      Transient.simulate c ~input ~output ~waveform:(Transient.step ()) ~t_stop ~steps
+    in
+    let reference = Reference.generate c ~input ~output in
+    let modal =
+      Rational.step_response (Rational.of_reference reference) ~times:sim.Transient.times
+    in
+    Array.iteri
+      (fun i t ->
+        if t > settled then
+          check_rel (Printf.sprintf "modal = trapezoidal at %g" t) modal.(i)
+            sim.Transient.output.(i) 0.01)
+      sim.Transient.times
   in
-  Array.iteri
-    (fun i t ->
-      if t > 2e-7 then
-        check_rel (Printf.sprintf "modal = trapezoidal at %g" t) modal.(i)
-          sim.Transient.output.(i) 0.01)
-    sim.Transient.times
+  let d = { Biquad.f0_hz = 1e6; q = 1.3; gm = 40e-6 } in
+  check (Biquad.cascade [ d ]) ~input:(Nodal.Vsrc_element "vin")
+    ~output:(Nodal.Out_node "out") ~t_stop:3e-6 ~steps:3000 ~settled:2e-7;
+  let b = N.Builder.create ~title:"current-driven rc" () in
+  N.Builder.resistor b "r1" ~a:"in" ~b:"0" 1e3;
+  N.Builder.capacitor b "c1" ~a:"in" ~b:"0" 1e-12;
+  N.Builder.resistor b "r2" ~a:"in" ~b:"out" 1e3;
+  N.Builder.capacitor b "c2" ~a:"out" ~b:"0" 1e-12;
+  check (N.Builder.finish b) ~input:(Nodal.I_single "in")
+    ~output:(Nodal.Out_node "out") ~t_stop:1e-8 ~steps:2000 ~settled:1e-9
 
 let test_validation () =
   Alcotest.(check bool) "bad steps" true
