@@ -1039,8 +1039,7 @@ let run_json ~smoke =
       let p_full = mk ~reuse:false in
       let p_refac = mk ~reuse:true in
       let dim = Nodal.dimension p_refac in
-      let f = 1. /. Nodal.mean_capacitance p_refac
-      and g = 1. /. Nodal.mean_conductance p_refac in
+      let f, g = Nodal.first_scales p_refac in
       let k = Nodal.order_bound p_refac + 1 in
       (* Per-evaluation cost over the unit-circle points of a first pass. *)
       let npts = (k / 2) + 2 in

@@ -37,18 +37,39 @@ let netlist_arg =
   let doc = "SPICE-subset netlist file (first line is the title)." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST" ~doc)
 
-let input_arg =
+let probe_arg =
   let doc =
-    "Input drive: the name of a grounded voltage source in the netlist \
-     (e.g. $(b,v1)), or $(b,diff:P,M) for a differential +-1/2 V drive, or \
-     $(b,node:P) for a unit drive at node P, or $(b,current:P) for a unit \
-     current injection."
+    "Output: node name, or $(b,P,M) for a differential output; omitted = a \
+     node named $(b,out), $(b,vout) or $(b,output), else the last node."
   in
-  Arg.(value & opt string "v1" & info [ "i"; "input" ] ~docv:"INPUT" ~doc)
+  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT" ~doc)
 
-let output_arg =
-  let doc = "Output: node name, or $(b,P,M) for a differential output." in
-  Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT" ~doc)
+(* The drive and the probe as a job template: the nodal analyses and the
+   serve front end ([submit], [batch]) spell them the same way, and the
+   serve library decides what a spelling means. *)
+let io_term =
+  let drive_arg =
+    let doc =
+      "Input drive: $(b,auto) (the netlist's own voltage sources), the name \
+       of a grounded voltage source (e.g. $(b,v1)), $(b,diff:P,M) for a \
+       differential +-1/2 V drive, $(b,node:P) for a unit drive at node P \
+       (either replaces the netlist's grounded sources at its nodes), or \
+       $(b,current:P) for a unit current injection."
+    in
+    Arg.(value & opt string "auto" & info [ "i"; "input" ] ~docv:"INPUT" ~doc)
+  in
+  Term.(
+    const (fun input output -> { Serve.Protocol.default_job with input; output })
+    $ drive_arg $ probe_arg)
+
+let path_job file =
+  { Serve.Protocol.default_job with netlist = `Path file; id = Some file }
+
+let job_arg =
+  Term.(
+    const (fun file (job : Serve.Protocol.job) ->
+        { job with netlist = `Path file; id = Some file })
+    $ netlist_arg $ io_term)
 
 let sigma_arg =
   let doc = "Significant digits for the validity criterion (eq. 12)." in
@@ -58,13 +79,30 @@ let r_arg =
   let doc = "Band-placement tuning factor of eq. 14." in
   Arg.(value & opt float 1.0 & info [ "r" ] ~doc)
 
-let no_reduce_arg =
-  let doc = "Disable the problem reduction of eq. 17." in
-  Arg.(value & flag & info [ "no-reduce" ] ~doc)
+(* A job term with the validity digits and the band factor. *)
+let tuned t =
+  Term.(
+    const (fun (job : Serve.Protocol.job) sigma r -> { job with sigma; r })
+    $ t $ sigma_arg $ r_arg)
 
-let no_conj_arg =
-  let doc = "Disable the conjugate-symmetry optimisation (full-circle LU)." in
-  Arg.(value & flag & info [ "no-conjugate-symmetry" ] ~doc)
+(* [coeffs] and [doctor]: the tuned job and its adaptive configuration. *)
+let reference_arg =
+  let no_reduce =
+    let doc = "Disable the problem reduction of eq. 17." in
+    Arg.(value & flag & info [ "no-reduce" ] ~doc)
+  and no_conj =
+    let doc = "Disable the conjugate-symmetry optimisation (full-circle LU)." in
+    Arg.(value & flag & info [ "no-conjugate-symmetry" ] ~doc)
+  in
+  let config job no_reduce no_conj =
+    ( job,
+      {
+        (Serve.Service.adaptive_config job) with
+        Adaptive.reduce = not no_reduce;
+        conj_symmetry = not no_conj;
+      } )
+  in
+  Term.(const config $ tuned job_arg $ no_reduce $ no_conj)
 
 let from_arg =
   Arg.(value & opt float 1. & info [ "from" ] ~docv:"HZ" ~doc:"Sweep start frequency.")
@@ -74,22 +112,6 @@ let to_arg =
 
 let per_decade_arg =
   Arg.(value & opt int 4 & info [ "per-decade" ] ~doc:"Sweep points per decade.")
-
-(* The serve library owns the input/output spec syntax, so a CLI run and a
-   daemon job interpret the same strings identically. *)
-let parse_input = Symref_serve.Service.parse_input
-let parse_output = Symref_serve.Service.parse_output
-
-let load file = Parser.parse_file file
-
-(* Reference generation and the other nodal analyses need the nodal class;
-   inductors enter it exactly through the gyrator-C transformation. *)
-let load_nodal file =
-  let c = load file in
-  let t = Symref_circuit.Transform.inductors_to_gyrators c in
-  if t != c then
-    Printf.eprintf "note: inductors replaced by gyrator-C equivalents\n";
-  t
 
 (* --- observability: --stats / --trace, shared by every subcommand --- *)
 
@@ -113,11 +135,12 @@ let obs_term =
   in
   Term.(const (fun stats trace -> { stats; trace }) $ stats $ trace)
 
-(* Run a subcommand body with observability armed, turning the pipeline's
-   exceptions into one-line diagnostics (with the netlist file, and the line
-   for parse errors) on stderr.  Counters/trace are flushed even when the
-   body fails, so a crashing run still leaves its telemetry behind. *)
-let wrap ?file obs f =
+(* Run a subcommand body with observability armed, turning any exception
+   into the one-line message a serve job would reply with for [job] (parse
+   errors name its file and line) on stderr.  Counters/trace are flushed
+   even when the body fails, so a crashing run still leaves its telemetry
+   behind. *)
+let wrap ?(job = Serve.Protocol.default_job) obs f =
   if obs.stats then Metrics.enable ();
   (match obs.trace with Some path -> Trace.start ~file:path | None -> ());
   let flush_obs () =
@@ -129,38 +152,27 @@ let wrap ?file obs f =
     | None -> ());
     if obs.stats then print_string (Snapshot.to_table (Snapshot.capture ()))
   in
-  let where = match file with Some f -> f ^ ": " | None -> "" in
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "%s\n" m;
-        flush_obs ();
-        exit 1)
-      fmt
-  in
-  (try f () with
-  | Failure m | Invalid_argument m -> fail "error: %s%s" where m
-  | Serve.Errors.Error e -> fail "error: %s%s" where (Serve.Errors.message e)
-  | Inject.Injected m -> fail "error: %sinjected fault fired: %s" where m
-  | Parser.Parse_error { line; message } -> (
-      match file with
-      | Some f -> fail "error: %s:%d: %s" f line message
-      | None -> fail "error: line %d: %s" line message)
-  | Nodal.Unsupported m -> fail "error: %sunsupported circuit: %s" where m
-  | Pipeline.Symbolic_limit { dim; limit } ->
-      fail
-        "error: %spruned circuit dimension %d exceeds the symbolic limit %d \
-         (lib/symbolic/sdet.ml: max_dimension); simplify needs a circuit \
-         that prunes to dimension <= %d"
-        where dim limit limit);
+  (try f ()
+   with e ->
+     Printf.eprintf "error: %s\n" (snd (Serve.Service.error_of_exn job e));
+     flush_obs ();
+     exit 1);
   flush_obs ()
+
+(* A nodal analysis: [f] gets the job's circuit, drive and probe, loaded
+   through the serve library exactly as a serve job is. *)
+let with_job obs job f = wrap ~job obs (fun () -> f (Serve.Service.load job))
+
+let out_pair = function
+  | Nodal.Out_node p -> (p, None)
+  | Nodal.Out_diff (p, m) -> (p, Some m)
 
 (* --- info --- *)
 
 let info_cmd =
   let run file obs =
-    wrap ~file obs (fun () ->
-        let c = load file in
+    wrap ~job:(path_job file) obs (fun () ->
+        let c = Parser.parse_file file in
         Format.printf "%a@." N.pp_summary c;
         Printf.printf "nodal class (reference generation supported): %b\n"
           (N.is_nodal_class c
@@ -183,22 +195,10 @@ let info_cmd =
 
 (* --- coeffs --- *)
 
-let config_of sigma r no_reduce no_conj =
-  {
-    Adaptive.default_config with
-    Adaptive.sigma;
-    r;
-    reduce = not no_reduce;
-    conj_symmetry = not no_conj;
-  }
-
 let coeffs_cmd =
-  let run file input output sigma r no_reduce no_conj obs =
-    wrap ~file obs (fun () ->
-        let c = load_nodal file in
-        let input = parse_input c input and output = parse_output output in
-        let config = config_of sigma r no_reduce no_conj in
-        let t = Reference.generate ~config c ~input ~output in
+  let run (job, config) obs =
+    with_job obs job (fun { Serve.Service.circuit; input; output; _ } ->
+        let t = Reference.generate ~config circuit ~input ~output in
         print_string (Report.reference_summary t);
         print_endline "numerator coefficients:";
         Array.iteri
@@ -215,9 +215,7 @@ let coeffs_cmd =
        ~doc:
          "Generate numerical references (network-function coefficients) with \
           the adaptive scaling algorithm.")
-    Term.(
-      const run $ netlist_arg $ input_arg $ output_arg $ sigma_arg $ r_arg
-      $ no_reduce_arg $ no_conj_arg $ obs_term)
+    Term.(const run $ reference_arg $ obs_term)
 
 (* --- doctor --- *)
 
@@ -237,17 +235,14 @@ let doctor_cmd =
     let doc = "Relative-residual tolerance for the verification probes." in
     Arg.(value & opt float 1e-4 & info [ "tolerance" ] ~docv:"TOL" ~doc)
   in
-  let run file input output sigma r no_reduce no_conj tolerance obs =
+  let run (job, config) tolerance obs =
     (* The exit status is decided inside [wrap] but applied after it, so the
        --stats/--trace telemetry still flushes on an unhealthy verdict. *)
     let healthy = ref false in
-    wrap ~file obs (fun () ->
-        let c = load_nodal file in
-        let input = parse_input c input and output = parse_output output in
-        let config = config_of sigma r no_reduce no_conj in
-        let t = Reference.generate ~config c ~input ~output in
+    with_job obs job (fun { Serve.Service.circuit; input; output; _ } ->
+        let t = Reference.generate ~config circuit ~input ~output in
         let h = Reference.health ~tolerance t in
-        Printf.printf "health report for %s:\n" file;
+        Printf.printf "health report for %s:\n" (Serve.Service.netlist_name job);
         List.iter
           (fun (k, v) -> Printf.printf "  %-18s %s\n" k v)
           (Reference.health_to_strings h);
@@ -270,9 +265,7 @@ let doctor_cmd =
           adaptive runs, an independent residual verification of every \
           established coefficient, and the singular-point recovery counters. \
           Exits non-zero when any check fails.")
-    Term.(
-      const run $ netlist_arg $ input_arg $ output_arg $ sigma_arg $ r_arg
-      $ no_reduce_arg $ no_conj_arg $ tolerance_arg $ obs_term)
+    Term.(const run $ reference_arg $ tolerance_arg $ obs_term)
 
 (* --- bode --- *)
 
@@ -280,18 +273,12 @@ let bode_cmd =
   let plot_arg =
     Arg.(value & flag & info [ "plot" ] ~doc:"Render ASCII Bode plots (Fig. 2 style).")
   in
-  let run file input output from_ to_ per_decade plot obs =
-    wrap ~file obs (fun () ->
-        let c = load_nodal file in
-        let input = parse_input c input and output = parse_output output in
-        let t = Reference.generate c ~input ~output in
+  let run job from_ to_ per_decade plot obs =
+    with_job obs job (fun { Serve.Service.netlist; circuit; input; output; _ } ->
+        let t = Reference.generate circuit ~input ~output in
         let freqs = Grid.decades ~start:from_ ~stop:to_ ~per_decade in
-        let out_p, out_m =
-          match output with
-          | Nodal.Out_node p -> (p, None)
-          | Nodal.Out_diff (p, m) -> (p, Some m)
-        in
-        let sim = Ac.bode c ~out_p ?out_m freqs in
+        let out_p, out_m = out_pair output in
+        let sim = Ac.bode netlist ~out_p ?out_m freqs in
         let interp = Reference.bode t freqs in
         if plot then
           print_string (Symref_core.Ascii_plot.bode_figure ~interpolated:interp ~simulator:sim)
@@ -306,20 +293,16 @@ let bode_cmd =
           the direct AC simulation (Fig. 2).  The netlist's own sources drive \
           the AC side; --input drives the reference side.")
     Term.(
-      const run $ netlist_arg $ input_arg $ output_arg $ from_arg $ to_arg
-      $ per_decade_arg $ plot_arg $ obs_term)
+      const run $ job_arg $ from_arg $ to_arg $ per_decade_arg $ plot_arg
+      $ obs_term)
 
 (* --- ac --- *)
 
 let ac_cmd =
   let run file output from_ to_ per_decade obs =
-    wrap ~file obs (fun () ->
-        let c = load file in
-        let out_p, out_m =
-          match parse_output output with
-          | Nodal.Out_node p -> (p, None)
-          | Nodal.Out_diff (p, m) -> (p, Some m)
-        in
+    wrap ~job:(path_job file) obs (fun () ->
+        let c = Parser.parse_file file in
+        let out_p, out_m = out_pair (fst (Serve.Service.resolve_output c output)) in
         let freqs = Grid.decades ~start:from_ ~stop:to_ ~per_decade in
         Array.iter
           (fun (p : Ac.bode_point) ->
@@ -331,7 +314,7 @@ let ac_cmd =
     (Cmd.info "ac"
        ~doc:"Small-signal AC sweep (full MNA: supports all element types).")
     Term.(
-      const run $ netlist_arg $ output_arg $ from_arg $ to_arg $ per_decade_arg
+      const run $ netlist_arg $ probe_arg $ from_arg $ to_arg $ per_decade_arg
       $ obs_term)
 
 (* --- sbg --- *)
@@ -351,10 +334,8 @@ let sbg_cmd =
             "Also consider shorting resistive elements (series parasitics), \
              not just opening them.")
   in
-  let run file input output from_ to_ per_decade tdb tdeg shorts obs =
-    wrap ~file obs (fun () ->
-        let c = load_nodal file in
-        let input = parse_input c input and output = parse_output output in
+  let run job from_ to_ per_decade tdb tdeg shorts obs =
+    with_job obs job (fun { Serve.Service.circuit; input; output; _ } ->
         let freqs = Grid.decades ~start:from_ ~stop:to_ ~per_decade in
         let config =
           {
@@ -365,7 +346,7 @@ let sbg_cmd =
               (if shorts then Sbg.default_shortable else fun _ -> false);
           }
         in
-        let o = Sbg.prune ~config c ~input ~output ~freqs in
+        let o = Sbg.prune ~config circuit ~input ~output ~freqs in
         Printf.printf
           "removed %d of %d candidate moves; residual %.3f dB / %.2f deg\n"
           (List.length o.Sbg.removals) o.Sbg.candidates o.Sbg.error_db
@@ -389,8 +370,8 @@ let sbg_cmd =
          "Simplification Before Generation: prune negligible elements and \
           print the reduced netlist.")
     Term.(
-      const run $ netlist_arg $ input_arg $ output_arg $ from_arg $ to_arg
-      $ per_decade_arg $ tol_db $ tol_deg $ shorts_arg $ obs_term)
+      const run $ job_arg $ from_arg $ to_arg $ per_decade_arg $ tol_db
+      $ tol_deg $ shorts_arg $ obs_term)
 
 (* --- simplify --- *)
 
@@ -423,60 +404,39 @@ let simplify_cmd =
       & info [ "no-shorts" ]
           ~doc:"Forbid SBG from shorting series resistive elements.")
   in
-  let input_auto_arg =
-    let doc =
-      "Input drive (CLI syntax, see $(b,coeffs)); $(b,auto) detects the \
-       netlist's own voltage sources."
-    in
-    Arg.(value & opt string "auto" & info [ "i"; "input" ] ~docv:"INPUT" ~doc)
-  in
-  let output_auto_arg =
-    let doc = "Output node (or $(b,P,M)); omitted = auto-detect." in
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT" ~doc)
-  in
-  let run file input output budget_db budget_deg from_ to_ per_decade sigma r
-      max_attempts no_shorts json obs =
-    wrap ~file obs (fun () ->
-        if json then begin
+  let run job budget_db budget_deg from_ to_ per_decade max_attempts no_shorts
+      json obs =
+    if json then
+      wrap ~job obs (fun () ->
           (* One in-process service run, so the CLI JSON is byte-compatible
              with a daemon reply body for the same job. *)
           let config =
             { Serve.Service.default_config with Serve.Service.cache_bytes = 0 }
           in
           let service = Serve.Service.create ~config () in
-          let job =
-            {
-              Serve.Protocol.default_job with
-              Serve.Protocol.netlist = `Path file;
-              id = Some file;
-              analysis =
-                Serve.Protocol.Simplify
-                  { budget_db; budget_deg; from_hz = from_; to_hz = to_;
-                    per_decade };
-              input;
-              output;
-              sigma;
-              r;
-            }
+          let analysis =
+            Serve.Protocol.Simplify
+              { budget_db; budget_deg; from_hz = from_; to_hz = to_; per_decade }
           in
-          let reply = Serve.Service.run_job service job in
+          let reply = Serve.Service.run_job service { job with analysis } in
           Serve.Service.shutdown service;
           print_endline (Json.to_string (Serve.Protocol.reply_to_json reply));
-          if reply.Serve.Protocol.status <> Serve.Protocol.Ok then exit 1
-        end
-        else begin
-          let c = load_nodal file in
-          let c, input, output, in_desc, out_desc =
-            Serve.Service.resolve_io c ~input ~output
-          in
+          if reply.Serve.Protocol.status <> Serve.Protocol.Ok then exit 1)
+    else
+      with_job obs job
+        (fun { Serve.Service.circuit; input; output; input_desc; output_desc; _ } ->
           let budget = Budget.v ~db:budget_db ~deg:budget_deg () in
           let freqs = Grid.decades ~start:from_ ~stop:to_ ~per_decade in
           let config =
-            { Pipeline.sigma; r; max_attempts; shorts = not no_shorts }
+            {
+              (Serve.Service.pipeline_config job) with
+              Pipeline.max_attempts;
+              shorts = not no_shorts;
+            }
           in
-          let res = Pipeline.run ~config c ~input ~output ~budget ~freqs in
-          Printf.printf "simplify %s  (input %s, output %s)\n" file in_desc
-            out_desc;
+          let res = Pipeline.run ~config circuit ~input ~output ~budget ~freqs in
+          Printf.printf "simplify %s  (input %s, output %s)\n"
+            (Serve.Service.netlist_name job) input_desc output_desc;
           Printf.printf "  elements: %d -> %d   nodal dimension: %d\n"
             res.Pipeline.elements_before res.Pipeline.elements_after
             res.Pipeline.dim;
@@ -514,8 +474,7 @@ let simplify_cmd =
           Printf.printf "  den = %s\n"
             (Nested.to_string (Nested.nest res.Pipeline.den));
           if not res.Pipeline.certificate.Certificate.within_budget then
-            exit 1
-        end)
+            exit 1)
   in
   Cmd.v
     (Cmd.info "simplify"
@@ -526,19 +485,16 @@ let simplify_cmd =
           re-verify the simplified H(s) against the numerical reference over \
           the full grid and print a machine-checkable error certificate.")
     Term.(
-      const run $ netlist_arg $ input_auto_arg $ output_auto_arg
-      $ budget_db_arg $ budget_deg_arg $ from_arg $ to_arg $ per_decade_arg
-      $ sigma_arg $ r_arg $ max_attempts_arg $ no_shorts_arg $ json_arg
+      const run $ tuned job_arg $ budget_db_arg $ budget_deg_arg $ from_arg
+      $ to_arg $ per_decade_arg $ max_attempts_arg $ no_shorts_arg $ json_arg
       $ obs_term)
 
 (* --- poles --- *)
 
 let poles_cmd =
-  let run file input output obs =
-    wrap ~file obs (fun () ->
-        let c = load_nodal file in
-        let input = parse_input c input and output = parse_output output in
-        let t = Reference.generate c ~input ~output in
+  let run job obs =
+    with_job obs job (fun { Serve.Service.circuit; input; output; _ } ->
+        let t = Reference.generate circuit ~input ~output in
         let a = Symref_core.Poles.analyse t in
         Format.printf "%a@?" Symref_core.Poles.pp a)
   in
@@ -547,7 +503,7 @@ let poles_cmd =
        ~doc:
          "Extract poles and zeros from the generated references (Aberth \
           iteration on the extended-range coefficients).")
-    Term.(const run $ netlist_arg $ input_arg $ output_arg $ obs_term)
+    Term.(const run $ job_arg $ obs_term)
 
 (* --- sensitivity --- *)
 
@@ -560,12 +516,10 @@ let sensitivity_cmd =
   let top_arg =
     Arg.(value & opt int 15 & info [ "top" ] ~doc:"Rows to print.")
   in
-  let run file input output freq top from_ to_ per_decade obs =
-    wrap ~file obs (fun () ->
-        let c = load_nodal file in
-        let input = parse_input c input and output = parse_output output in
+  let run job freq top from_ to_ per_decade obs =
+    with_job obs job (fun { Serve.Service.circuit; input; output; _ } ->
         let entries =
-          Symref_mna.Sensitivity.adjoint_at c ~input ~output ~freq_hz:freq
+          Symref_mna.Sensitivity.adjoint_at circuit ~input ~output ~freq_hz:freq
         in
         Printf.printf
           "normalised sensitivities at %g Hz (adjoint method, top %d):\n" freq top;
@@ -583,7 +537,7 @@ let sensitivity_cmd =
           entries;
         let freqs = Grid.decades ~start:from_ ~stop:to_ ~per_decade in
         let ranking =
-          Symref_mna.Sensitivity.worst_case c ~input ~output ~freqs
+          Symref_mna.Sensitivity.worst_case circuit ~input ~output ~freqs
         in
         Printf.printf "\nworst-case |S| over %g..%g Hz (top %d):\n" from_ to_ top;
         List.iteri
@@ -595,23 +549,21 @@ let sensitivity_cmd =
     (Cmd.info "sensitivity"
        ~doc:"Element sensitivities of the transfer function (adjoint).")
     Term.(
-      const run $ netlist_arg $ input_arg $ output_arg $ freq_arg $ top_arg
-      $ from_arg $ to_arg $ per_decade_arg $ obs_term)
+      const run $ job_arg $ freq_arg $ top_arg $ from_arg $ to_arg
+      $ per_decade_arg $ obs_term)
 
 (* --- margins --- *)
 
 let margins_cmd =
-  let run file input output obs =
-    wrap ~file obs (fun () ->
-        let c = load_nodal file in
-        let input = parse_input c input and output = parse_output output in
-        let t = Reference.generate c ~input ~output in
+  let run job obs =
+    with_job obs job (fun { Serve.Service.circuit; input; output; _ } ->
+        let t = Reference.generate circuit ~input ~output in
         Format.printf "%a@?" Symref_core.Margins.pp (Symref_core.Margins.analyse t))
   in
   Cmd.v
     (Cmd.info "margins"
        ~doc:"Stability margins (unity-gain frequency, phase/gain margin, GBW).")
-    Term.(const run $ netlist_arg $ input_arg $ output_arg $ obs_term)
+    Term.(const run $ job_arg $ obs_term)
 
 (* --- noise --- *)
 
@@ -620,11 +572,9 @@ let noise_cmd =
     Arg.(value & opt float 1e3 & info [ "freq" ] ~docv:"HZ" ~doc:"Analysis frequency.")
   in
   let top_arg = Arg.(value & opt int 10 & info [ "top" ] ~doc:"Contributors to list.") in
-  let run file input output freq top obs =
-    wrap ~file obs (fun () ->
-        let c = load_nodal file in
-        let input = parse_input c input and output = parse_output output in
-        let p = Symref_mna.Noise.at c ~input ~output ~freq_hz:freq in
+  let run job freq top obs =
+    with_job obs job (fun { Serve.Service.circuit; input; output; _ } ->
+        let p = Symref_mna.Noise.at circuit ~input ~output ~freq_hz:freq in
         Printf.printf "at %g Hz: output %.4g V^2/Hz (%.4g V/rtHz), input-referred %.4g V/rtHz\n"
           freq p.Symref_mna.Noise.output_density
           (Float.sqrt p.Symref_mna.Noise.output_density)
@@ -641,9 +591,7 @@ let noise_cmd =
   in
   Cmd.v
     (Cmd.info "noise" ~doc:"Output and input-referred noise with contributor ranking.")
-    Term.(
-      const run $ netlist_arg $ input_arg $ output_arg $ freq_arg $ top_arg
-      $ obs_term)
+    Term.(const run $ job_arg $ freq_arg $ top_arg $ obs_term)
 
 (* --- monte carlo --- *)
 
@@ -652,10 +600,8 @@ let mc_cmd =
     Arg.(value & opt int 100 & info [ "samples" ] ~doc:"Monte-Carlo samples.")
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.") in
-  let run file input output from_ to_ per_decade samples seed obs =
-    wrap ~file obs (fun () ->
-        let c = load_nodal file in
-        let input = parse_input c input and output = parse_output output in
+  let run job from_ to_ per_decade samples seed obs =
+    with_job obs job (fun { Serve.Service.circuit; input; output; _ } ->
         let freqs = Grid.decades ~start:from_ ~stop:to_ ~per_decade in
         let config =
           { Symref_mna.Monte_carlo.default_config with
@@ -663,7 +609,7 @@ let mc_cmd =
             seed }
         in
         let stats =
-          Symref_mna.Monte_carlo.gain_spread ~config c ~input ~output ~freqs
+          Symref_mna.Monte_carlo.gain_spread ~config circuit ~input ~output ~freqs
         in
         Printf.printf "%-12s  %-10s %-10s %-8s %-10s %-10s\n" "freq (Hz)" "nominal"
           "mean" "std" "min" "max";
@@ -678,8 +624,8 @@ let mc_cmd =
   Cmd.v
     (Cmd.info "mc" ~doc:"Monte-Carlo gain spread under element tolerances (dB).")
     Term.(
-      const run $ netlist_arg $ input_arg $ output_arg $ from_arg $ to_arg
-      $ per_decade_arg $ samples_arg $ seed_arg $ obs_term)
+      const run $ job_arg $ from_arg $ to_arg $ per_decade_arg $ samples_arg
+      $ seed_arg $ obs_term)
 
 (* --- transient --- *)
 
@@ -697,17 +643,15 @@ let transient_cmd =
       & info [ "sine" ] ~docv:"HZ" ~doc:"Sine input at this frequency (default: unit step).")
   in
   let plot_arg = Arg.(value & flag & info [ "plot" ] ~doc:"ASCII waveform plot.") in
-  let run file input output tstop steps sine plot obs =
-    wrap ~file obs (fun () ->
-        let c = load_nodal file in
-        let input = parse_input c input and output = parse_output output in
+  let run job tstop steps sine plot obs =
+    with_job obs job (fun { Serve.Service.circuit; input; output; _ } ->
         let waveform =
           match sine with
           | None -> Symref_mna.Transient.step ()
           | Some f -> Symref_mna.Transient.sine ~freq_hz:f ()
         in
         let r =
-          Symref_mna.Transient.simulate c ~input ~output ~waveform ~t_stop:tstop
+          Symref_mna.Transient.simulate circuit ~input ~output ~waveform ~t_stop:tstop
             ~steps
         in
         if plot then begin
@@ -730,14 +674,15 @@ let transient_cmd =
     (Cmd.info "transient"
        ~doc:"Time-domain response (trapezoidal integration) to a step or sine.")
     Term.(
-      const run $ netlist_arg $ input_arg $ output_arg $ tstop_arg $ steps_arg
-      $ sine_arg $ plot_arg $ obs_term)
+      const run $ job_arg $ tstop_arg $ steps_arg $ sine_arg $ plot_arg
+      $ obs_term)
 
 (* --- dot --- *)
 
 let dot_cmd =
   let run file obs =
-    wrap ~file obs (fun () -> print_string (Symref_spice.Dot.to_dot (load file)))
+    wrap ~job:(path_job file) obs (fun () ->
+        print_string (Symref_spice.Dot.to_dot (Parser.parse_file file)))
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Export the netlist topology as Graphviz DOT.")
@@ -871,18 +816,7 @@ let analysis_arg =
     & info [ "analysis" ] ~docv:"KIND" ~doc)
 
 let job_term =
-  let auto_input_arg =
-    let doc =
-      "Input drive (CLI syntax, see $(b,coeffs)); $(b,auto) detects the \
-       netlist's own voltage sources."
-    in
-    Arg.(value & opt string "auto" & info [ "i"; "input" ] ~docv:"INPUT" ~doc)
-  in
-  let auto_output_arg =
-    let doc = "Output node (or $(b,P,M)); omitted = auto-detect." in
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT" ~doc)
-  in
-  let make analysis input output sigma r timeout_ms from_ to_ per_decade
+  let make (job : Serve.Protocol.job) analysis timeout_ms from_ to_ per_decade
       budget_db budget_deg =
     let analysis =
       match analysis with
@@ -895,19 +829,14 @@ let job_term =
             { budget_db; budget_deg; from_hz = from_; to_hz = to_; per_decade }
     in
     {
-      Serve.Protocol.default_job with
+      job with
       Serve.Protocol.analysis;
-      input;
-      output;
-      sigma;
-      r;
       timeout_ms = (if timeout_ms > 0 then Some timeout_ms else None);
     }
   in
   Term.(
-    const make $ analysis_arg $ auto_input_arg $ auto_output_arg $ sigma_arg
-    $ r_arg $ timeout_ms_arg $ from_arg $ to_arg $ per_decade_arg
-    $ budget_db_arg $ budget_deg_arg)
+    const make $ tuned io_term $ analysis_arg $ timeout_ms_arg $ from_arg
+    $ to_arg $ per_decade_arg $ budget_db_arg $ budget_deg_arg)
 
 let serve_cmd =
   let run socket tcp_extra workers capacity queue cache_mb timeout_ms disk_cache
@@ -983,11 +912,8 @@ let submit_cmd =
       | Unix.Unix_error (e, _, _) ->
           Printf.eprintf "error: %s: %s\n" socket (Unix.error_message e);
           exit 1
-      | Serve.Errors.Error e ->
-          Printf.eprintf "error: %s\n" (Serve.Errors.message e);
-          exit 1
-      | Failure m ->
-          Printf.eprintf "error: %s\n" m;
+      | e ->
+          Printf.eprintf "error: %s\n" (snd (Serve.Service.error_of_exn job e));
           exit 1
     in
     print_endline (Json.to_string (Serve.Protocol.reply_to_json reply));

@@ -49,10 +49,8 @@ let () =
       in
       let naive = Naive.run (Evaluator.of_nodal problem ~num:false) in
       let fixed =
-        Fixed_scale.run
-          ~f:(1. /. Nodal.mean_capacitance problem)
-          ~g:(1. /. Nodal.mean_conductance problem)
-          (Evaluator.of_nodal problem ~num:false)
+        let f, g = Nodal.first_scales problem in
+        Fixed_scale.run ~f ~g (Evaluator.of_nodal problem ~num:false)
       in
       let den_ev = Evaluator.of_nodal problem ~num:false in
       let adaptive = Adaptive.run den_ev in

@@ -44,8 +44,8 @@ let of_nodal problem ~num =
     restart = (fun () -> Nodal.restart problem);
     gdeg = (if num then Nodal.num_gdeg problem else Nodal.den_gdeg problem);
     order_bound = Nodal.order_bound problem;
-    f0 = 1. /. Nodal.mean_capacitance problem;
-    g0 = 1. /. Nodal.mean_conductance problem;
+    f0 = fst (Nodal.first_scales problem);
+    g0 = snd (Nodal.first_scales problem);
     name = (if num then "num" else "den");
     counter;
     guarded = true;
@@ -147,8 +147,8 @@ let of_nodal_shared problem =
       restart = (fun () -> Nodal.restart problem);
       gdeg = (if num then Nodal.num_gdeg problem else Nodal.den_gdeg problem);
       order_bound = Nodal.order_bound problem;
-      f0 = 1. /. Nodal.mean_capacitance problem;
-      g0 = 1. /. Nodal.mean_conductance problem;
+      f0 = fst (Nodal.first_scales problem);
+      g0 = snd (Nodal.first_scales problem);
       name = (if num then "num" else "den");
       counter;
       guarded = true;

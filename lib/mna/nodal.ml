@@ -313,8 +313,7 @@ let dimension t = t.dim
 let order_bound t = t.order_bound
 let den_gdeg t = t.den_gdeg
 let num_gdeg t = t.num_gdeg
-let mean_conductance t = Netlist.mean_conductance t.circuit
-let mean_capacitance t = Netlist.mean_capacitance t.circuit
+let first_scales t = Option.value t.chain.anchor ~default:(1., 1.)
 
 (* Value of stamp coordinate [e] at the canonical point [s = i]:
    [{re = g_coef*g; im = c_coef*f}].  It vanishes exactly when the entry

@@ -143,10 +143,10 @@ val release_pools : t -> unit
     makes fresh pools.  {!Symref_core.Reference.generate} calls this when
     it returns, so a kept reference does not hold the planes. *)
 
-val mean_conductance : t -> float
-val mean_capacitance : t -> float
-(** Heuristic inputs for the first interpolation (paper §3.2).
-    @raise Invalid_argument when the circuit has none. *)
+val first_scales : t -> float * float
+(** Heuristic first scales [(1 / mean C, 1 / mean G)] (paper §3.2), where
+    the pattern chain learns its root; [(1, 1)] and no chain anchor when
+    the circuit has no capacitor or no conductance. *)
 
 type role = Ground | Driven of float | Free of int
 

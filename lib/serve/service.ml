@@ -133,19 +133,18 @@ let auto_input circuit =
   match (grounded, vsrc_count circuit) with
   | [ (name, _, _) ], 1 ->
       (* The classic single-drive netlist: use the source itself. *)
-      (circuit, Nodal.Vsrc_element name, name)
-  | [ (n1, node1, v1); (n2, node2, v2) ], 2
+      (Nodal.Vsrc_element name, name)
+  | [ (_, node1, v1); (_, node2, v2) ], 2
     when v1 *. v2 < 0. && Float.abs (Float.abs v1 -. Float.abs v2) = 0. ->
-      (* An antisymmetric source pair (the uA741 sample netlist): remove
-         both and drive the pair differentially. *)
+      (* An antisymmetric source pair (the uA741 sample netlist): drive the
+         pair differentially, in place of both sources. *)
       let p, m = if v1 > 0. then (node1, node2) else (node2, node1) in
-      let circuit = N.remove_element (N.remove_element circuit n1) n2 in
-      (circuit, Nodal.V_diff (p, m), Printf.sprintf "diff:%s,%s" p m)
+      (Nodal.V_diff (p, m), Printf.sprintf "diff:%s,%s" p m)
   | _, 0 -> (
       match
         List.find_opt (fun n -> N.node_id circuit n <> None) [ "in"; "vin" ]
       with
-      | Some n -> (circuit, Nodal.V_single n, "node:" ^ n)
+      | Some n -> (Nodal.V_single n, "node:" ^ n)
       | None ->
           Errors.bad_spec "input"
             "cannot auto-detect the input: no voltage source and no node \
@@ -156,30 +155,96 @@ let auto_input circuit =
          grounded drive or an antisymmetric grounded pair (pass input \
          explicitly)"
 
-let auto_output circuit =
-  match
-    List.find_opt (fun n -> N.node_id circuit n <> None) [ "out"; "vout"; "output" ]
-  with
-  | Some n -> (Nodal.Out_node n, n)
-  | None ->
-      let last = N.node_count circuit in
-      if last = 0 then
-        Errors.bad_spec "output" "cannot auto-detect the output: no nodes"
-      else
-        let n = N.node_name circuit last in
-        (Nodal.Out_node n, n)
+let resolve_output circuit = function
+  | Some s -> (parse_output s, s)
+  | None -> (
+      match
+        List.find_opt (fun n -> N.node_id circuit n <> None) [ "out"; "vout"; "output" ]
+      with
+      | Some n -> (Nodal.Out_node n, n)
+      | None ->
+          let last = N.node_count circuit in
+          if last = 0 then
+            Errors.bad_spec "output" "cannot auto-detect the output: no nodes"
+          else
+            let n = N.node_name circuit last in
+            (Nodal.Out_node n, n))
+
+(* A voltage drive at a node replaces the netlist's own grounded source
+   there: the antisymmetric pair [auto] drives, or any explicit drive. *)
+let without_sources_at circuit input =
+  let driven =
+    match input with
+    | Nodal.V_diff (p, m) | Nodal.V_common (p, m) -> [ p; m ]
+    | Nodal.V_single p -> [ p ]
+    | Nodal.Vsrc_element _ | Nodal.I_single _ -> []
+  in
+  List.fold_left
+    (fun c (name, node, _) ->
+      if List.mem node driven then N.remove_element c name else c)
+    circuit (grounded_vsrcs circuit)
 
 let resolve_io circuit ~input ~output =
-  let circuit, input, input_desc =
+  let input, input_desc =
     if input = "auto" then auto_input circuit
-    else (circuit, parse_input circuit input, input)
+    else (parse_input circuit input, input)
   in
-  let output, output_desc =
-    match output with
-    | Some s -> (parse_output s, s)
-    | None -> auto_output circuit
-  in
+  let circuit = without_sources_at circuit input in
+  let output, output_desc = resolve_output circuit output in
   (circuit, input, output, input_desc, output_desc)
+
+(* --- loading: a job's netlist, drive and probe --- *)
+
+type loaded = {
+  netlist : N.t;
+  circuit : N.t;
+  input : Nodal.input;
+  output : Nodal.output;
+  input_desc : string;
+  output_desc : string;
+}
+
+let load (job : Protocol.job) =
+  let source =
+    match job.Protocol.netlist with
+    | `Text s -> s
+    | `Path p -> (
+        (* A directory opens fine and fails on the first read with a bare
+           errno message; name the path so the diagnostic says which file. *)
+        try In_channel.with_open_bin p In_channel.input_all
+        with Sys_error m when not (String.starts_with ~prefix:p m) ->
+          raise (Sys_error (p ^ ": " ^ m)))
+  in
+  let netlist = Transform.inductors_to_gyrators (Parser.parse_string source) in
+  let circuit, input, output, input_desc, output_desc =
+    resolve_io netlist ~input:job.Protocol.input ~output:job.Protocol.output
+  in
+  { netlist; circuit; input; output; input_desc; output_desc }
+
+let adaptive_config (job : Protocol.job) =
+  { Adaptive.default_config with Adaptive.sigma = job.Protocol.sigma; r = job.Protocol.r }
+
+let pipeline_config (job : Protocol.job) =
+  { Pipeline.default_config with Pipeline.sigma = job.Protocol.sigma; r = job.Protocol.r }
+
+let netlist_name (job : Protocol.job) =
+  match job.Protocol.netlist with `Path p -> p | `Text _ -> "<inline>"
+
+let error_of_exn job = function
+  | Parser.Parse_error { line; message } ->
+      ("parse", Printf.sprintf "%s:%d: %s" (netlist_name job) line message)
+  | Nodal.Unsupported m -> ("unsupported", "unsupported circuit: " ^ m)
+  | Pipeline.Symbolic_limit { dim; limit } ->
+      ( "symbolic_limit",
+        Printf.sprintf
+          "pruned circuit dimension %d exceeds the symbolic limit %d; \
+           simplify needs a circuit (after pruning) of dimension <= %d"
+          dim limit limit )
+  | Errors.Error e -> (Errors.kind e, Errors.message e)
+  | Inject.Injected m -> ("injected", m)
+  | Failure m | Invalid_argument m -> ("invalid", m)
+  | Sys_error m -> ("io", m)
+  | e -> ("internal", Printexc.to_string e)
 
 (* --- cache keys --- *)
 
@@ -392,8 +457,6 @@ let simplify_payload (job : Protocol.job) ~input_desc ~output_desc
 
 (* --- job execution --- *)
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
 (* A stored payload, replayed verbatim: bit-identical to the reply that
    first produced it. *)
 let replay ~id stored =
@@ -406,16 +469,7 @@ let replay ~id stored =
    memoised. *)
 let run_canonical t ~check ~alias (job : Protocol.job) =
   let id = job.Protocol.id in
-  let source =
-    match job.Protocol.netlist with
-    | `Text s -> s
-    | `Path p -> read_file p
-  in
-  let circuit = Parser.parse_string source in
-  let circuit = Transform.inductors_to_gyrators circuit in
-  let circuit, input, output, input_desc, output_desc =
-    resolve_io circuit ~input:job.Protocol.input ~output:job.Protocol.output
-  in
+  let { circuit; input; output; input_desc; output_desc; _ } = load job in
   let canonical = Writer.to_string circuit in
   let key = cache_key ~canonical job ~input_desc ~output_desc in
   let remember () =
@@ -448,23 +502,16 @@ let run_canonical t ~check ~alias (job : Protocol.job) =
                    pruned circuit) and verifies over the request's grid. *)
                 let freqs = Grid.decades ~start:from_hz ~stop:to_hz ~per_decade in
                 let budget = Budget.v ~db:budget_db ~deg:budget_deg () in
-                let config =
-                  {
-                    Pipeline.default_config with
-                    Pipeline.sigma = job.Protocol.sigma;
-                    r = job.Protocol.r;
-                  }
-                in
                 let result =
-                  Pipeline.run ~config ~check circuit ~input ~output ~budget
-                    ~freqs
+                  Pipeline.run ~config:(pipeline_config job) ~check circuit
+                    ~input ~output ~budget ~freqs
                 in
                 simplify_payload job ~input_desc ~output_desc result
             | _ ->
-                let config =
-                  { Adaptive.default_config with Adaptive.sigma = job.Protocol.sigma; r = job.Protocol.r }
+                let reference =
+                  Reference.generate ~config:(adaptive_config job) ~check
+                    circuit ~input ~output
                 in
-                let reference = Reference.generate ~config ~check circuit ~input ~output in
                 payload job ~input_desc ~output_desc reference
           in
           let rendered = Json.to_string body in
@@ -480,10 +527,6 @@ let run_job t ?deadline (job : Protocol.job) =
     match deadline with
     | Some d when Unix.gettimeofday () >= d -> raise Deadline_exceeded
     | _ -> ()
-  in
-  let failed kind message =
-    Metrics.incr Metrics.serve_jobs_failed;
-    Protocol.error ~id ~kind message
   in
   try
     check ();
@@ -504,24 +547,10 @@ let run_job t ?deadline (job : Protocol.job) =
       Metrics.incr Metrics.serve_jobs_timeout;
       Protocol.error ~id ~status:Protocol.Timeout ~kind:"timeout"
         "job exceeded its wall-clock budget"
-  | Parser.Parse_error { line; message } ->
-      let where =
-        match job.Protocol.netlist with `Path p -> p | `Text _ -> "<inline>"
-      in
-      failed "parse" (Printf.sprintf "%s:%d: %s" where line message)
-  | Nodal.Unsupported m -> failed "unsupported" ("unsupported circuit: " ^ m)
-  | Pipeline.Symbolic_limit { dim; limit } ->
-      failed "symbolic_limit"
-        (Printf.sprintf
-           "pruned circuit dimension %d exceeds the symbolic limit %d; \
-            simplify needs a circuit (after pruning) of dimension <= %d"
-           dim limit limit)
-  | Errors.Error e -> failed (Errors.kind e) (Errors.message e)
-  | Inject.Injected m -> failed "injected" m
-  | Failure m -> failed "invalid" m
-  | Invalid_argument m -> failed "invalid" m
-  | Sys_error m -> failed "io" m
-  | e -> failed "internal" (Printexc.to_string e)
+  | e ->
+      let kind, message = error_of_exn job e in
+      Metrics.incr Metrics.serve_jobs_failed;
+      Protocol.error ~id ~kind message
 
 let submit t (job : Protocol.job) =
   let timeout_ms =

@@ -39,31 +39,60 @@ exception Deadline_exceeded
 (** Raised by the cooperative check inside a job whose wall-clock budget —
     measured from {e admission}, so queueing time counts — has expired. *)
 
-(** {1 Input/output resolution}
+(** {1 Loading a job}
 
-    Shared with the CLI so [symref coeffs] and a serve job interpret
-    the same strings identically. *)
-
-val parse_input : Symref_circuit.Netlist.t -> string -> Symref_mna.Nodal.input
-(** CLI input syntax: an element name, [diff:P,M], [node:P], [current:P].
-    @raise Errors.Error [Bad_spec] on unknown elements or malformed specs. *)
+    Shared with the CLI: its nodal analyses load jobs and name failures
+    exactly as a serve job does. *)
 
 val parse_output : string -> Symref_mna.Nodal.output
 (** [NODE] or [P,M].  @raise Errors.Error [Bad_spec] on malformed specs. *)
+
+val resolve_output :
+  Symref_circuit.Netlist.t -> string option -> Symref_mna.Nodal.output * string
+(** [(output, output_desc)]: an explicit spec, or for [None] a node named
+    [out]/[vout]/[output], else the last node the netlist introduced.
+    @raise Errors.Error [Bad_spec] when nothing matches. *)
 
 val resolve_io :
   Symref_circuit.Netlist.t ->
   input:string ->
   output:string option ->
   Symref_circuit.Netlist.t * Symref_mna.Nodal.input * Symref_mna.Nodal.output * string * string
-(** [(circuit', input, output, input_desc, output_desc)].  [input = "auto"]
+(** [(circuit', input, output, input_desc, output_desc)].  The input is an
+    element name, [diff:P,M], [node:P], [current:P] or [auto].  [auto]
     detects the drive: a unique grounded voltage source; else a grounded
     [+x/-x] source pair, which is {e removed} and becomes the differential
     drive (the µA741 sample netlist pattern); else a node named [in]/[vin].
-    [output = None] prefers a node named [out]/[vout]/[output], falling
-    back to the last node the netlist introduced.  The descriptors are the
-    canonical CLI spellings used in cache keys and reply payloads.
+    An explicit voltage drive ([diff:P,M], [node:P]) replaces the
+    netlist's own grounded voltage sources at its nodes: they are removed,
+    so [diff:inp,inn] on the µA741 sample netlist is [auto]'s circuit.
+    The output is {!resolve_output}'s.  The descriptors are the canonical
+    spellings used in cache keys and reply payloads.
     @raise Errors.Error [Bad_spec] when nothing matches. *)
+
+type loaded = {
+  netlist : Symref_circuit.Netlist.t;  (** parsed, inductors gyrated *)
+  circuit : Symref_circuit.Netlist.t;  (** [netlist] after {!resolve_io} *)
+  input : Symref_mna.Nodal.input;
+  output : Symref_mna.Nodal.output;
+  input_desc : string;
+  output_desc : string;
+}
+
+val load : Protocol.job -> loaded
+(** Read and parse the job's netlist, replace its inductors by gyrator-C
+    equivalents and {!resolve_io} it.  Raises what {!error_of_exn} maps. *)
+
+val adaptive_config : Protocol.job -> Symref_core.Adaptive.config
+val pipeline_config : Protocol.job -> Symref_simplify.Pipeline.config
+(** The default configurations with the job's [sigma] and [r]. *)
+
+val netlist_name : Protocol.job -> string
+(** The file of a [`Path] job, [<inline>] for a [`Text] one. *)
+
+val error_of_exn : Protocol.job -> exn -> string * string
+(** [(kind, message)] of a job's failure: the reply kind slug and a
+    one-line message ([NAME:LINE: ...] for a parse error). *)
 
 (** {1 Jobs} *)
 

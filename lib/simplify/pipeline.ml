@@ -113,38 +113,46 @@ let run ?(config = default_config) ?check circuit ~input ~output
     Trace.span ~cat:"simplify" "simplify.sbg" (fun () ->
         Sbg.prune ~config:sbg_cfg circuit ~input ~output ~freqs)
   in
-  (* A prune that takes the last capacitor leaves no frequency scale for
-     the eq. 3 references of the SDG stage.  Keep the unpruned circuit
-     instead: the conservative outcome, with zero SBG error by
-     construction. *)
-  let sbg =
-    if
-      Netlist.capacitor_count sbg.Sbg.pruned = 0
-      && Netlist.capacitor_count circuit > 0
-    then
-      {
-        sbg with
-        Sbg.pruned = circuit;
-        removed = [];
-        removals = [];
-        error_db = 0.;
-        error_deg = 0.;
-      }
-    else sbg
+  let symbolic (sbg : Sbg.outcome) =
+    let dim = Nodal.dimension (Nodal.make sbg.Sbg.pruned ~input ~output) in
+    if dim > Sdet.max_dimension then begin
+      Metrics.incr Metrics.simplify_unsupported;
+      raise (Symbolic_limit { dim; limit = Sdet.max_dimension })
+    end;
+    (* --- exact symbolic expression of the pruned circuit --- *)
+    chk ();
+    let nf =
+      Trace.span ~cat:"simplify" "simplify.sdet" (fun () ->
+          Sdet.network_function sbg.Sbg.pruned ~input ~output)
+    in
+    (sbg, dim, nf)
+  in
+  (* A prune is degenerate when it takes the last capacitor, which leaves
+     no frequency scale for the eq. 3 references of the SDG stage, or cuts
+     a floating island off from ground: SBG sees the output's response
+     unchanged, but the determinant vanishes identically.  Keep the
+     unpruned circuit instead: the conservative outcome, with zero SBG
+     error by construction. *)
+  let sbg, dim, nf =
+    match symbolic sbg with
+    | _, _, nf
+      when sbg.Sbg.pruned != circuit
+           && (Sym.term_count nf.Sdet.den = 0
+              || Netlist.capacitor_count sbg.Sbg.pruned = 0
+                 && Netlist.capacitor_count circuit > 0) ->
+        symbolic
+          {
+            sbg with
+            Sbg.pruned = circuit;
+            removed = [];
+            removals = [];
+            error_db = 0.;
+            error_deg = 0.;
+          }
+    | r -> r
   in
   Metrics.add Metrics.simplify_removed_elements (List.length sbg.Sbg.removals);
   let pruned = sbg.Sbg.pruned in
-  let dim = Nodal.dimension (Nodal.make pruned ~input ~output) in
-  if dim > Sdet.max_dimension then begin
-    Metrics.incr Metrics.simplify_unsupported;
-    raise (Symbolic_limit { dim; limit = Sdet.max_dimension })
-  end;
-  (* --- exact symbolic expression of the pruned circuit --- *)
-  chk ();
-  let nf =
-    Trace.span ~cat:"simplify" "simplify.sdet" (fun () ->
-        Sdet.network_function pruned ~input ~output)
-  in
   let exact_num_terms = Sym.term_count nf.Sdet.num in
   let exact_den_terms = Sym.term_count nf.Sdet.den in
   (* --- eq. 3 references for SDG: coefficients of the pruned circuit --- *)

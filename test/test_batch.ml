@@ -171,8 +171,7 @@ let prop_nodal_batch_identity =
     QCheck2.Gen.(pair (int_range 1 10_000) (int_range 3 14))
     (fun (seed, nodes) ->
       let p = problem_of seed nodes in
-      let f = 1. /. Nodal.mean_capacitance p
-      and g = 1. /. Nodal.mean_conductance p in
+      let f, g = Nodal.first_scales p in
       let k = Int.max 4 (Nodal.order_bound p + 1) in
       let all = Array.init k (fun j -> Uc.point k j) in
       (* Full circle, a single point, and the odd/even conjugate halves a
@@ -260,8 +259,7 @@ let test_chaos_batch_parity () =
         Inject.arm Inject.sparse_singular
           (Inject.Times { skip = 3; count = 4 });
         let p = problem_of 4242 10 in
-        let f = 1. /. Nodal.mean_capacitance p
-        and g = 1. /. Nodal.mean_conductance p in
+        let f, g = Nodal.first_scales p in
         let k = Int.max 4 (Nodal.order_bound p + 1) in
         let points = Array.init k (fun j -> Uc.point k j) in
         let vs =
@@ -293,8 +291,7 @@ let test_batch_counters () =
   let module Snapshot = Symref_obs.Snapshot in
   let sweep () =
     let p = problem_of 99 8 in
-    let f = 1. /. Nodal.mean_capacitance p
-    and g = 1. /. Nodal.mean_conductance p in
+    let f, g = Nodal.first_scales p in
     let k = Int.max 4 (Nodal.order_bound p + 1) in
     let points = Array.init k (fun j -> Uc.point k j) in
     ignore (Nodal.eval_batch ~f ~g p points);
@@ -483,8 +480,7 @@ let test_workspace_reuse_invariance () =
      replaying a set later — after the planes held other data, of another
      size — must reproduce the first visit bit for bit. *)
   let p = ua741_problem () in
-  let f = 1. /. Nodal.mean_capacitance p
-  and g = 1. /. Nodal.mean_conductance p in
+  let f, g = Nodal.first_scales p in
   let k = Nodal.order_bound p + 1 in
   let points = Array.init k (fun j -> Uc.point k j) in
   let first = Nodal.eval_batch ~f ~g p points in

@@ -649,7 +649,7 @@ let test_chain_history_free () =
   in
   let fresh_num, fresh_den = run (ua741_problem ()) in
   let used = ua741_problem () in
-  let f0 = 1. /. Nodal.mean_capacitance used and g0 = 1. /. Nodal.mean_conductance used in
+  let f0, g0 = Nodal.first_scales used in
   List.iter
     (fun (f, g) ->
       ignore (Nodal.eval_batch ~f ~g used [| Cx.j; Cx.make 0.6 0.8 |]);

@@ -253,9 +253,7 @@ let test_chain_capacitor_less () =
     Nodal.make ~reuse c ~input:(Nodal.V_single "in") ~output:(Nodal.Out_node "out")
   in
   let chain = mk true and oracle = mk false in
-  Alcotest.check_raises "no mean capacitance"
-    (Invalid_argument "Netlist.mean_capacitance: no capacitors") (fun () ->
-      ignore (Nodal.mean_capacitance chain));
+  Alcotest.(check bool) "unit first scales" true (Nodal.first_scales chain = (1., 1.));
   let points = [| Complex.one; Cx.j; Cx.make (-0.6) 0.8 |] in
   List.iter
     (fun (f, g) ->
@@ -283,7 +281,7 @@ let test_chain_floor_check_side_effect_free () =
       ~input:(Nodal.V_diff (Ua741.input_p, Ua741.input_n))
       ~output:(Nodal.Out_node Ua741.output)
   in
-  let f0 = 1. /. Nodal.mean_capacitance t and g0 = 1. /. Nodal.mean_conductance t in
+  let f0, g0 = Nodal.first_scales t in
   with_metrics @@ fun () ->
   Fun.protect ~finally:Inject.disable @@ fun () ->
   Inject.enable ();

@@ -243,6 +243,16 @@ let test_service_formatting_invariance () =
   Alcotest.(check string) "same payload"
     (Json.to_string r1.Protocol.body)
     (Json.to_string r2.Protocol.body);
+  (* An explicit diff drive at the uA741's input nodes replaces the
+     netlist's own source pair: the same circuit, drive and key as auto. *)
+  let ua741 = reference_job (ua741_text ()) in
+  let auto = Service.run_job s ua741 in
+  let diff = Service.run_job s { ua741 with Protocol.input = "diff:inp,inn" } in
+  Alcotest.(check bool) "explicit drive ok" true (diff.Protocol.status = Protocol.Ok);
+  Alcotest.(check bool) "explicit drive hits the auto entry" true diff.Protocol.cached;
+  Alcotest.(check string) "explicit drive payload"
+    (Json.to_string auto.Protocol.body)
+    (Json.to_string diff.Protocol.body);
   Service.shutdown s
 
 let test_service_timeout_and_isolation () =

@@ -261,22 +261,38 @@ let test_protocol_simplify_roundtrip () =
 
 (* --- property: random gm-C nets are certified within budget --- *)
 
+let random_within_budget (seed, nodes) =
+  let c = Random_net.circuit ~seed ~nodes () in
+  let input = Nodal.Vsrc_element "vin" in
+  let output = Nodal.Out_node (Random_net.output_node ~seed ~nodes) in
+  match Pipeline.run c ~input ~output ~budget:(budget ()) ~freqs with
+  | r ->
+      let cert = r.Pipeline.certificate in
+      cert.Certificate.within_budget
+      && Certificate.check cert
+      && r.Pipeline.num_terms <= r.Pipeline.exact_num_terms
+      && r.Pipeline.den_terms <= r.Pipeline.exact_den_terms
+  | exception Pipeline.Symbolic_limit _ -> true
+
 let prop_random_within_budget =
   QCheck2.Test.make
     ~name:"random nets simplify within the certified budget" ~count:6
     QCheck2.Gen.(pair (int_range 1 500) (int_range 3 5))
+    random_within_budget
+
+(* The inputs of the property's range whose SBG prune is degenerate.  Two
+   prunes leave no conductance: the pruned circuit has no anchor scale, and
+   its references start from unit scales instead of raising.  Six cut a
+   floating island off from ground: the pruned determinant vanishes, and
+   the pipeline keeps the unpruned circuit. *)
+let test_random_degenerate_prunes () =
+  List.iter
     (fun (seed, nodes) ->
-      let c = Random_net.circuit ~seed ~nodes () in
-      let input = Nodal.Vsrc_element "vin" in
-      let output = Nodal.Out_node (Random_net.output_node ~seed ~nodes) in
-      match Pipeline.run c ~input ~output ~budget:(budget ()) ~freqs with
-      | r ->
-          let cert = r.Pipeline.certificate in
-          cert.Certificate.within_budget
-          && Certificate.check cert
-          && r.Pipeline.num_terms <= r.Pipeline.exact_num_terms
-          && r.Pipeline.den_terms <= r.Pipeline.exact_den_terms
-      | exception Pipeline.Symbolic_limit _ -> true)
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d, %d nodes" seed nodes)
+        true
+        (random_within_budget (seed, nodes)))
+    [ (387, 3); (463, 5); (20, 5); (140, 5); (288, 5); (395, 5); (487, 5); (500, 5) ]
 
 let suite =
   [
@@ -304,5 +320,9 @@ let suite =
         Alcotest.test_case "protocol: simplify round-trip" `Quick
           test_protocol_simplify_roundtrip;
       ]
-      @ List.map QCheck_alcotest.to_alcotest [ prop_random_within_budget ] );
+      @ List.map QCheck_alcotest.to_alcotest [ prop_random_within_budget ]
+      @ [
+          Alcotest.test_case "random nets: degenerate prunes" `Quick
+            test_random_degenerate_prunes;
+        ] );
   ]
